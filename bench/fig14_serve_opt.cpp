@@ -8,8 +8,9 @@
 // reports the gate values CI checks on the `layout` row: `speedup` (mean
 // per-query latency, base / optimized) and `recall_delta` (base recall@10
 // minus optimized recall@10 — positive when pruning cost recall). Variants:
-// the bare layout, +patience, +visit budget fixed at the free-running p50
-// (the rung an adaptive controller learns as its cheap rung).
+// the bare layout, +patience, +visit budget fixed at the free-running p90
+// (capping only the tail), and the SQ8 tier on both sides (raw SQ8 search
+// against SQ8 scored through the layout's permutation).
 //
 // The serving layout keeps a min_degree=12 floor under the k=16 source graph
 // and variant 1 adds patience=12 — the sweep that chose them: floors of 4-8
@@ -21,6 +22,7 @@
 #include "bench_common.hpp"
 #include "common/rng.hpp"
 #include "core/graph_search.hpp"
+#include "kernels/sq8.hpp"
 #include "opt/optimize.hpp"
 
 namespace wknng::bench {
@@ -41,6 +43,8 @@ struct ServeOptFixture {
   KnnGraph graph;
   KnnGraph truth;
   opt::ServingGraph sg;
+  kernels::Sq8Matrix codes;
+  std::vector<float> terms;
   std::size_t visit_p90 = 0;
 
   ServeOptFixture() {
@@ -63,6 +67,8 @@ struct ServeOptFixture {
     opt::OptimizeOptions oo;
     oo.min_degree = kMinDegree;
     sg = opt::optimize_serving(pool(), base, graph, oo);
+    codes = kernels::sq8_encode(base);
+    terms = kernels::sq8_code_terms(codes);
 
     core::SearchParams sp;
     sp.k = kK;
@@ -88,7 +94,8 @@ double timed_us(const Fn& run) {
 }
 
 // Arg 0: pruned + reordered layout only. Arg 1: + patience. Arg 2: + fixed
-// visit budget at the free-running p90 (capping only the tail).
+// visit budget at the free-running p90 (capping only the tail). Arg 3: the
+// layout with the SQ8 tier, against the raw SQ8 search.
 void BM_ServeOpt(benchmark::State& state) {
   const long variant = state.range(0);
   ServeOptFixture& f = fixture();
@@ -98,8 +105,10 @@ void BM_ServeOpt(benchmark::State& state) {
   sp.k = kK;
   sp.beam = 96;
   core::SearchParams sp_opt = sp;
-  if (variant >= 1) sp_opt.patience = 12;
-  if (variant >= 2) sp_opt.visit_budget = f.visit_p90;
+  if (variant == 1 || variant == 2) sp_opt.patience = 12;
+  if (variant == 2) sp_opt.visit_budget = f.visit_p90;
+  const kernels::Sq8View sq8_view{&f.codes, f.terms};
+  const kernels::Sq8View* sq8 = variant == 3 ? &sq8_view : nullptr;
 
   double us_base = 0.0;
   double us_opt = 0.0;
@@ -109,11 +118,12 @@ void BM_ServeOpt(benchmark::State& state) {
     core::BatchSearchResult res_base;
     core::BatchSearchResult res_opt;
     const auto run_base = [&] {
-      res_base =
-          core::graph_search_batch(pool(), base, f.graph, f.queries, {}, sp);
+      res_base = core::graph_search_batch(pool(), base, f.graph, f.queries,
+                                          {}, sp, nullptr, nullptr, sq8);
     };
     const auto run_opt = [&] {
-      res_opt = core::serving_search_batch(pool(), f.sg, f.queries, {}, sp_opt);
+      res_opt = core::serving_search_batch(pool(), f.sg, f.queries, {},
+                                           sp_opt, {}, nullptr, nullptr, sq8);
     };
     run_base();  // warm caches and the pool once, untimed
     run_opt();
@@ -127,8 +137,9 @@ void BM_ServeOpt(benchmark::State& state) {
     recall_opt = exact::recall(res_opt.results, f.truth);
   }
 
-  state.SetLabel(variant == 0 ? "layout" : variant == 1 ? "layout+patience"
-                                                        : "layout+budget");
+  const char* const labels[] = {"layout", "layout+patience", "layout+budget",
+                                 "layout+sq8"};
+  state.SetLabel(labels[variant]);
   state.counters["mean_us_base"] = us_base;
   state.counters["mean_us_opt"] = us_opt;
   state.counters["speedup"] = us_base / us_opt;
@@ -142,7 +153,7 @@ void BM_ServeOpt(benchmark::State& state) {
 }
 
 void register_all() {
-  for (long variant : {0, 1, 2}) {
+  for (long variant : {0, 1, 2, 3}) {
     benchmark::RegisterBenchmark("Fig14/ServeOpt", BM_ServeOpt)
         ->Arg(variant)->Unit(benchmark::kMillisecond)->Iterations(1);
   }

@@ -137,6 +137,7 @@ void BM_Sq8Search(benchmark::State& state) {
   static const auto codes =
       std::make_shared<const kernels::Sq8Matrix>(kernels::sq8_encode(pts));
   static const std::vector<float> terms = kernels::sq8_code_terms(*codes);
+  static const std::vector<float> norms = kernels::norm_cache(pts);
   const kernels::Sq8View view{codes.get(), terms};
 
   // Held-out proxy: perturbed base rows.
@@ -155,9 +156,11 @@ void BM_Sq8Search(benchmark::State& state) {
   core::SearchScratch scratch;
   std::uint64_t visits = 0;
   for (auto _ : state) {
-    const core::BatchSearchResult r = core::graph_search_batch(
-        pool(), pts, graph, queries, {}, sp, &scratch, nullptr,
-        sq8 ? &view : nullptr);
+    const core::BatchSearchResult r = core::search_batch(
+        pool(),
+        core::SearchTarget::over_graph(pts, norms, graph,
+                                       sq8 ? view : kernels::Sq8View{}),
+        queries, {}, sp, &scratch);
     visits = 0;
     for (const std::uint64_t v : r.visits) visits += v;
     benchmark::DoNotOptimize(visits);

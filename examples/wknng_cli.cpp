@@ -117,9 +117,9 @@
 //                        published version (rebuilt or reused per the
 //                        staleness policy). --out then writes the layout as
 //                        a WKNNGOP1 trailer on the graph file
-//   --patience N         optimized path only: stop after N frontier hops
-//                        without a result improvement (0 = off)
-//   --visit-budget B     optimized path only: per-query visited-node cap —
+//   --patience N         serving: stop after N frontier hops without a
+//                        result improvement (0 = off)
+//   --visit-budget B     serving: per-query visited-node cap —
 //                        a number for a fixed cap, or "auto" for the
 //                        learned ladder with capped-query escalation
 //                        (0 = unlimited, the default)
@@ -593,8 +593,8 @@ int run_dynamic(ThreadPool& pool, const FloatMatrix& points,
     so.search.beam = opt.beam;
     so.search.seed = opt.seed;
     so.optimize = opt.optimize_serve;
-    so.patience = opt.patience;
-    so.visit_budget = opt.visit_budget;
+    so.search.patience = opt.patience;
+    so.search.visit_budget = opt.visit_budget;
     so.adaptive_budget = opt.budget_auto;
     configure_quality_plane(so, opt);
     serve::ServeEngine engine(pool, so, dyn->snapshot());
@@ -1009,10 +1009,10 @@ int main(int argc, char** argv) {
       so.search.k = opt->k;
       so.search.beam = opt->beam;
       so.search.seed = opt->seed;
-      so.rerank_depth = opt->rerank_depth;
+      so.search.rerank_depth = opt->rerank_depth;
       so.optimize = opt->optimize_serve;
-      so.patience = opt->patience;
-      so.visit_budget = opt->visit_budget;
+      so.search.patience = opt->patience;
+      so.search.visit_budget = opt->visit_budget;
       so.adaptive_budget = opt->budget_auto;
       configure_quality_plane(so, *opt);
       serve::ServeEngine engine(

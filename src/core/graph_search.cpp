@@ -11,8 +11,8 @@
 #include "simt/launch.hpp"
 #include "simt/warp_distance.hpp"
 
-// Software prefetch for the serving path's frontier pipeline: a hint, never
-// a semantic — compilers without the builtin just skip it.
+// Software prefetch for the descent's frontier pipeline: a hint, never a
+// semantic — compilers without the builtin just skip it.
 #if defined(__GNUC__) || defined(__clang__)
 #define WKNNG_PREFETCH(addr) __builtin_prefetch((addr), 0, 1)
 #else
@@ -56,41 +56,76 @@ SearchScratch::Slot& SearchScratch::local() {
   return *slot;
 }
 
-std::span<const float> SearchScratch::base_norms(const FloatMatrix& base) {
-  std::call_once(norms_once_, [&] {
-    if (!kernels::strict_mode()) base_norms_ = kernels::row_norms(base);
-  });
-  if (base_norms_.size() != base.rows()) return {};
-  return base_norms_;
+SearchTarget SearchTarget::over_graph(const FloatMatrix& base,
+                                      std::span<const float> norms,
+                                      const KnnGraph& graph,
+                                      kernels::Sq8View sq8,
+                                      std::span<const std::uint8_t> exclude) {
+  SearchTarget t;
+  t.base = &base;
+  t.norms = norms;
+  t.graph = &graph;
+  t.sq8 = sq8;
+  t.exclude = exclude;
+  return t;
 }
 
-BatchSearchResult graph_search_batch(ThreadPool& pool, const FloatMatrix& base,
-                                     const KnnGraph& graph,
-                                     const FloatMatrix& queries,
-                                     std::span<const std::uint64_t> tags,
-                                     const SearchParams& params,
-                                     SearchScratch* scratch,
-                                     simt::StatsAccumulator* acc,
-                                     const kernels::Sq8View* sq8,
-                                     std::span<const std::uint8_t> exclude) {
-  WKNNG_CHECK(base.cols() == queries.cols());
-  WKNNG_CHECK_MSG(exclude.empty() || exclude.size() == base.rows(),
-                  "exclusion mask size " << exclude.size() << " != base "
-                                         << base.rows());
-  WKNNG_CHECK(graph.num_points() == base.rows());
+SearchTarget SearchTarget::over_layout(const opt::ServingGraph& sg,
+                                       std::span<const std::uint8_t> exclude,
+                                       kernels::Sq8View sq8) {
+  SearchTarget t;
+  t.base = &sg.base;
+  t.norms = sg.norms;
+  t.csr_offsets = sg.offsets;
+  t.csr_neighbors = sg.neighbors;
+  t.old_to_new = sg.old_to_new;
+  t.new_to_old = sg.new_to_old;
+  t.sq8 = sq8;
+  t.exclude = !exclude.empty() ? exclude
+                               : std::span<const std::uint8_t>(sg.exclude);
+  return t;
+}
+
+BatchSearchResult search_batch(ThreadPool& pool, const SearchTarget& t,
+                               const FloatMatrix& queries,
+                               std::span<const std::uint64_t> tags,
+                               const SearchParams& params,
+                               SearchScratch* scratch,
+                               simt::StatsAccumulator* acc) {
+  WKNNG_CHECK_MSG(t.base != nullptr, "search target has no base rows");
+  const FloatMatrix& base = *t.base;
+  const std::size_t n = base.rows();
+  const std::size_t dim = base.cols();
+  WKNNG_CHECK_MSG(dim == queries.cols(),
+                  "base dim " << dim << " != query dim " << queries.cols());
+  if (t.graph != nullptr) {
+    WKNNG_CHECK(t.graph->num_points() == n);
+  } else {
+    WKNNG_CHECK_MSG(t.csr_offsets.size() == n + 1 &&
+                        t.csr_offsets.back() == t.csr_neighbors.size(),
+                    "CSR adjacency malformed");
+  }
+  WKNNG_CHECK_MSG(t.norms.empty() || t.norms.size() == n,
+                  "norm cache size " << t.norms.size() << " != base " << n);
+  const bool permuted = !t.new_to_old.empty();
+  WKNNG_CHECK_MSG(t.old_to_new.size() == t.new_to_old.size() &&
+                      (!permuted || t.new_to_old.size() == n),
+                  "permutation size " << t.new_to_old.size() << " != base "
+                                      << n);
+  WKNNG_CHECK_MSG(t.exclude.empty() || t.exclude.size() == n,
+                  "exclusion mask size " << t.exclude.size() << " != base "
+                                         << n);
   validate_search_params(params);
-  const bool use_sq8 = sq8 != nullptr && sq8->valid();
+  const bool use_sq8 = t.sq8.valid();
   if (use_sq8) {
-    WKNNG_CHECK_MSG(sq8->matrix->rows() == base.rows() &&
-                        sq8->matrix->dim() == base.cols(),
-                    "sq8 codes are " << sq8->matrix->rows() << "x"
-                        << sq8->matrix->dim() << ", base is " << base.rows()
-                        << "x" << base.cols());
+    WKNNG_CHECK_MSG(t.sq8.matrix->rows() == n && t.sq8.matrix->dim() == dim,
+                    "sq8 codes are " << t.sq8.matrix->rows() << "x"
+                        << t.sq8.matrix->dim() << ", base is " << n << "x"
+                        << dim);
   }
   WKNNG_CHECK_MSG(tags.empty() || tags.size() == queries.rows(),
                   "tags size " << tags.size() << " != queries "
                                << queries.rows());
-  const std::size_t n = base.rows();
   const std::size_t nq = queries.rows();
 
   BatchSearchResult out;
@@ -111,10 +146,23 @@ BatchSearchResult graph_search_batch(ThreadPool& pool, const FloatMatrix& base,
       use_sq8 ? std::min(effective_rerank_depth(k_eff, params.rerank_depth), n)
               : 0;
   const std::size_t frontier_cap = frontier_capacity(params);
+  // Row prefetch pays only when a row spans several cache lines (16 floats
+  // per 64-byte line); narrower rows arrive with their own load.
+  const bool prefetch_rows = dim > 16;
+
+  // Base id -> source id (the code rows' order, and what callers see).
+  auto source_id = [&](std::uint32_t id) {
+    return permuted ? t.new_to_old[id] : id;
+  };
+  auto adjacency_row = [&](std::uint32_t id) -> const void* {
+    return t.graph != nullptr
+               ? static_cast<const void*>(t.graph->row(id).data())
+               : static_cast<const void*>(t.csr_neighbors.data() +
+                                          t.csr_offsets[id]);
+  };
 
   SearchScratch local_scratch;
   SearchScratch& scr = scratch != nullptr ? *scratch : local_scratch;
-  const std::span<const float> base_norms = scr.base_norms(base);
 
   simt::LaunchConfig search_config;
   search_config.trace_label = "graph_search";
@@ -128,9 +176,9 @@ BatchSearchResult graph_search_batch(ThreadPool& pool, const FloatMatrix& base,
     slot.begin(n);
     // Tombstone check: one byte load on candidate admission; an empty mask
     // compiles down to the constant-false branch.
-    const bool has_exclude = !exclude.empty();
+    const bool has_exclude = !t.exclude.empty();
     auto is_excluded = [&](std::uint32_t id) {
-      return has_exclude && exclude[id] != 0;
+      return has_exclude && t.exclude[id] != 0;
     };
     std::uint64_t visits = 0;
     bool capped = false;
@@ -143,49 +191,68 @@ BatchSearchResult graph_search_batch(ThreadPool& pool, const FloatMatrix& base,
     // every candidate after this streams 1 byte/dim of code data.
     kernels::Sq8Query sq8_q;
     if (use_sq8) {
-      sq8_q = simt::warp_sq8_prepare(w, query, sq8->codebook(), slot.qprep);
+      sq8_q = simt::warp_sq8_prepare(w, query, t.sq8.codebook(), slot.qprep);
     }
 
-    // Entry scoring: warp evaluates the sample in candidate-parallel tiles.
-    auto score_ids = [&](const std::vector<std::uint32_t>& ids,
-                         TopK& sink) {
-      for (std::size_t t0 = 0; t0 < ids.size(); t0 += kWarpSize) {
-        const std::size_t cnt = std::min<std::size_t>(kWarpSize, ids.size() - t0);
-        Lanes<std::uint32_t> lane_ids{};
-        Lanes<bool> active{};
-        for (std::size_t l = 0; l < cnt; ++l) {
-          lane_ids[l] = ids[t0 + l];
-          active[l] = true;
-        }
-        const Lanes<float> d =
-            use_sq8 ? simt::warp_sq8_l2_batch(
-                          w, sq8_q, lane_ids, active,
-                          [&](std::uint32_t p) { return sq8->row(p); },
-                          sq8->terms)
-                    : simt::warp_l2_batch(
-                          w, query, lane_ids, active,
-                          [&](std::uint32_t p) { return base.row(p); },
-                          base_norms);
-        for (std::size_t l = 0; l < cnt; ++l) sink.push(d[l], lane_ids[l]);
+    // Scores one warp-tile ids[0, cnt) — through the codes unless `exact`.
+    auto score_tile = [&](const std::uint32_t* ids, std::size_t cnt,
+                          bool exact) {
+      Lanes<std::uint32_t> lane_ids{};
+      Lanes<bool> active{};
+      for (std::size_t l = 0; l < cnt; ++l) {
+        lane_ids[l] = ids[l];
+        active[l] = true;
       }
-      visits += ids.size();
+      if (exact) {
+        return simt::warp_l2_batch(
+            w, query, lane_ids, active,
+            [&](std::uint32_t p) { return base.row(p); }, t.norms);
+      }
+      for (std::size_t l = 0; l < cnt; ++l) lane_ids[l] = source_id(ids[l]);
+      return simt::warp_sq8_l2_batch(
+          w, sq8_q, lane_ids, active,
+          [&](std::uint32_t p) { return t.sq8.row(p); }, t.sq8.terms);
+    };
+    // Starts the rows score_tile will read for ids[t0, t0 + one tile).
+    auto prefetch_tile = [&](const std::vector<std::uint32_t>& ids,
+                             std::size_t t0) {
+      if (!prefetch_rows) return;
+      const std::size_t end = std::min(ids.size(), t0 + kWarpSize);
+      for (std::size_t i = t0; i < end; ++i) {
+        if (use_sq8) {
+          const std::uint8_t* r = t.sq8.row(source_id(ids[i])).data();
+          for (std::size_t d = 0; d < dim; d += 64) WKNNG_PREFETCH(r + d);
+        } else {
+          const float* r = base.row(ids[i]).data();
+          for (std::size_t d = 0; d < dim; d += 16) WKNNG_PREFETCH(r + d);
+        }
+      }
     };
 
+    // Entry scoring: entries are drawn in the source id space, so a
+    // permuted layout seeds from the same points as its source graph.
     std::vector<std::uint32_t>& sample = slot.sample;
     sample.clear();
     for (std::size_t e = 0; e < params.entry_sample && sample.size() < n; ++e) {
-      const auto id = static_cast<std::uint32_t>(rng.next_below(n));
+      const auto src = static_cast<std::uint32_t>(rng.next_below(n));
+      const std::uint32_t id = permuted ? t.old_to_new[src] : src;
       if (slot.test_and_set(id)) continue;
       sample.push_back(id);
     }
     TopK entries(entry_keep);
-    score_ids(sample, entries);
+    for (std::size_t t0 = 0; t0 < sample.size(); t0 += kWarpSize) {
+      const std::size_t cnt =
+          std::min<std::size_t>(kWarpSize, sample.size() - t0);
+      const Lanes<float> d = score_tile(sample.data() + t0, cnt, !use_sq8);
+      for (std::size_t l = 0; l < cnt; ++l) entries.push(d[l], sample[t0 + l]);
+    }
+    visits += sample.size();
     for (const Neighbor& e : entries.take_sorted()) {
       frontier.push(e, best.worst());  // excluded entries still navigate
       if (!is_excluded(e.id)) best.push(e.dist, e.id);
     }
 
-    // Best-first descent over the graph.
+    // Best-first descent.
     std::vector<std::uint32_t>& expand = slot.expand;
     std::size_t stale_hops = 0;  // hops since the result heap last improved
     while (!frontier.empty()) {
@@ -195,36 +262,38 @@ BatchSearchResult graph_search_batch(ThreadPool& pool, const FloatMatrix& base,
         capped = true;  // the frontier still held a useful candidate
         break;
       }
+      // The heap's new head is the likely next expansion: start its
+      // adjacency row toward the cache while this hop streams.
+      if (!frontier.empty()) WKNNG_PREFETCH(adjacency_row(frontier.top().id));
       expand.clear();
-      for (const Neighbor& nb : graph.row(cur.id)) {
-        if (nb.id == KnnGraph::kInvalid) break;
-        if (slot.test_and_set(nb.id)) continue;
-        expand.push_back(nb.id);
+      if (t.graph != nullptr) {
+        for (const Neighbor& nb : t.graph->row(cur.id)) {
+          if (nb.id == KnnGraph::kInvalid) break;
+          if (!slot.test_and_set(nb.id)) expand.push_back(nb.id);
+        }
+        w.count_read(t.graph->k() * sizeof(Neighbor));
+      } else {
+        const std::uint32_t begin = t.csr_offsets[cur.id];
+        const std::uint32_t end = t.csr_offsets[cur.id + 1];
+        for (std::uint32_t e = begin; e < end; ++e) {
+          const std::uint32_t nb = t.csr_neighbors[e];
+          if (!slot.test_and_set(nb)) expand.push_back(nb);
+        }
+        w.count_read((end - begin) * sizeof(std::uint32_t));
       }
-      w.count_read(graph.k() * sizeof(Neighbor));
+      prefetch_tile(expand, 0);
       bool improved = false;
       for (std::size_t t0 = 0; t0 < expand.size(); t0 += kWarpSize) {
-        const std::size_t cnt = std::min<std::size_t>(kWarpSize, expand.size() - t0);
-        Lanes<std::uint32_t> lane_ids{};
-        Lanes<bool> active{};
+        prefetch_tile(expand, t0 + kWarpSize);
+        const std::size_t cnt =
+            std::min<std::size_t>(kWarpSize, expand.size() - t0);
+        const Lanes<float> d = score_tile(expand.data() + t0, cnt, !use_sq8);
         for (std::size_t l = 0; l < cnt; ++l) {
-          lane_ids[l] = expand[t0 + l];
-          active[l] = true;
-        }
-        const Lanes<float> d =
-            use_sq8 ? simt::warp_sq8_l2_batch(
-                          w, sq8_q, lane_ids, active,
-                          [&](std::uint32_t p) { return sq8->row(p); },
-                          sq8->terms)
-                    : simt::warp_l2_batch(
-                          w, query, lane_ids, active,
-                          [&](std::uint32_t p) { return base.row(p); },
-                          base_norms);
-        for (std::size_t l = 0; l < cnt; ++l) {
+          const std::uint32_t id = expand[t0 + l];
           if (d[l] < best.worst()) {
-            frontier.push({d[l], lane_ids[l]}, best.worst());
-            if (!is_excluded(lane_ids[l])) {
-              best.push(d[l], lane_ids[l]);
+            frontier.push({d[l], id}, best.worst());
+            if (!is_excluded(id)) {
+              best.push(d[l], id);
               improved = true;
             }
           }
@@ -243,25 +312,25 @@ BatchSearchResult graph_search_batch(ThreadPool& pool, const FloatMatrix& base,
       // fp32 base rows so the emitted top-k carries exact distances in exact
       // order. Approximation error only matters below the rerank horizon.
       if (found.size() > rr_eff) found.resize(rr_eff);
+      expand.clear();
+      for (const Neighbor& nb : found) expand.push_back(nb.id);
       TopK exact(k_eff);
-      for (std::size_t t0 = 0; t0 < found.size(); t0 += kWarpSize) {
+      for (std::size_t t0 = 0; t0 < expand.size(); t0 += kWarpSize) {
         const std::size_t cnt =
-            std::min<std::size_t>(kWarpSize, found.size() - t0);
-        Lanes<std::uint32_t> lane_ids{};
-        Lanes<bool> active{};
-        for (std::size_t l = 0; l < cnt; ++l) {
-          lane_ids[l] = found[t0 + l].id;
-          active[l] = true;
-        }
-        const Lanes<float> d = simt::warp_l2_batch(
-            w, query, lane_ids, active,
-            [&](std::uint32_t p) { return base.row(p); }, base_norms);
-        for (std::size_t l = 0; l < cnt; ++l) exact.push(d[l], lane_ids[l]);
+            std::min<std::size_t>(kWarpSize, expand.size() - t0);
+        const Lanes<float> d = score_tile(expand.data() + t0, cnt, true);
+        for (std::size_t l = 0; l < cnt; ++l) exact.push(d[l], expand[t0 + l]);
         visits += cnt;
       }
       found = exact.take_sorted();
     }
     if (found.size() > k_eff) found.resize(k_eff);
+    if (permuted) {
+      // Back to the source id space. The remap can reorder equal-distance
+      // ties, so re-establish the row invariant (sorted by (dist, id)).
+      for (Neighbor& nb : found) nb.id = t.new_to_old[nb.id];
+      std::sort(found.begin(), found.end());
+    }
     auto row = out.results.row(qi);
     std::copy(found.begin(), found.end(), row.begin());
     out.visits[qi] = visits;  // this warp's slot only: no shared accumulator
@@ -271,6 +340,24 @@ BatchSearchResult graph_search_batch(ThreadPool& pool, const FloatMatrix& base,
   return out;
 }
 
+BatchSearchResult graph_search_batch(ThreadPool& pool, const FloatMatrix& base,
+                                     const KnnGraph& graph,
+                                     const FloatMatrix& queries,
+                                     std::span<const std::uint64_t> tags,
+                                     const SearchParams& params,
+                                     SearchScratch* scratch,
+                                     simt::StatsAccumulator* acc,
+                                     const kernels::Sq8View* sq8,
+                                     std::span<const std::uint8_t> exclude) {
+  const std::vector<float> norms = kernels::norm_cache(base);
+  return search_batch(
+      pool,
+      SearchTarget::over_graph(base, norms, graph,
+                               sq8 != nullptr ? *sq8 : kernels::Sq8View{},
+                               exclude),
+      queries, tags, params, scratch, acc);
+}
+
 BatchSearchResult serving_search_batch(ThreadPool& pool,
                                        const opt::ServingGraph& sg,
                                        const FloatMatrix& queries,
@@ -278,177 +365,13 @@ BatchSearchResult serving_search_batch(ThreadPool& pool,
                                        const SearchParams& params,
                                        std::span<const std::uint8_t> exclude,
                                        SearchScratch* scratch,
-                                       simt::StatsAccumulator* acc) {
-  WKNNG_CHECK_MSG(sg.dim == queries.cols(),
-                  "serving layout dim " << sg.dim << " != query dim "
-                                        << queries.cols());
-  WKNNG_CHECK_MSG(sg.offsets.size() == sg.n() + 1,
-                  "serving layout CSR malformed");
-  WKNNG_CHECK_MSG(exclude.empty() || exclude.size() == sg.n(),
-                  "exclusion override size " << exclude.size()
-                                             << " != layout rows " << sg.n());
-  validate_search_params(params);
-  WKNNG_CHECK_MSG(tags.empty() || tags.size() == queries.rows(),
-                  "tags size " << tags.size() << " != queries "
-                               << queries.rows());
-  const std::size_t n = sg.n();
-  const std::size_t nq = queries.rows();
-  const std::size_t dim = sg.dim;
-
-  BatchSearchResult out;
-  out.results = KnnGraph(nq, params.k);
-  out.visits.assign(nq, 0);
-  out.capped.assign(nq, 0);
-  if (nq == 0 || n == 0) return out;
-
-  const std::size_t k_eff = std::min(params.k, n);
-  const std::size_t entry_keep = std::max<std::size_t>(
-      1, std::min(params.entry_keep, params.entry_sample));
-  const std::size_t frontier_cap = frontier_capacity(params);
-
-  SearchScratch local_scratch;
-  SearchScratch& scr = scratch != nullptr ? *scratch : local_scratch;
-  // The layout carries its own norm cache, gathered into the permuted order
-  // at build time (empty when built in strict mode — the scalar backend
-  // ignores caches either way, per the kernels contract).
-  const std::span<const float> base_norms(sg.norms);
-
-  simt::LaunchConfig search_config;
-  search_config.trace_label = "serving_search";
-  simt::launch_warps(pool, nq, search_config, acc, [&](Warp& w) {
-    const std::size_t qi = w.id();
-    const std::uint64_t tag = tags.empty() ? qi : tags[qi];
-    const auto query = queries.row(qi);
-    // Same stream derivation as the raw path, and entries are drawn in the
-    // *old* id space below — the permuted layout seeds from the same points.
-    Rng rng(params.seed, 0x5EA5C000ULL + tag);
-
-    SearchScratch::Slot& slot = scr.local();
-    slot.begin(n);
-    // Caller override first (fresh tombstones, already permuted), the
-    // layout's baked mask otherwise.
-    const std::span<const std::uint8_t> excl =
-        !exclude.empty() ? exclude
-                         : std::span<const std::uint8_t>(sg.exclude);
-    const bool has_exclude = !excl.empty();
-    auto is_excluded = [&](std::uint32_t id) {
-      return has_exclude && excl[id] != 0;
-    };
-    std::uint64_t visits = 0;
-    bool capped = false;
-    FrontierHeap frontier(slot.frontier, frontier_cap);
-    TopK best(std::max(k_eff, params.beam));
-
-    auto score_ids = [&](const std::vector<std::uint32_t>& ids, TopK& sink) {
-      for (std::size_t t0 = 0; t0 < ids.size(); t0 += kWarpSize) {
-        const std::size_t cnt =
-            std::min<std::size_t>(kWarpSize, ids.size() - t0);
-        Lanes<std::uint32_t> lane_ids{};
-        Lanes<bool> active{};
-        for (std::size_t l = 0; l < cnt; ++l) {
-          lane_ids[l] = ids[t0 + l];
-          active[l] = true;
-        }
-        const Lanes<float> d = simt::warp_l2_batch(
-            w, query, lane_ids, active,
-            [&](std::uint32_t p) { return sg.base.row(p); }, base_norms);
-        for (std::size_t l = 0; l < cnt; ++l) sink.push(d[l], lane_ids[l]);
-      }
-      visits += ids.size();
-    };
-
-    std::vector<std::uint32_t>& sample = slot.sample;
-    sample.clear();
-    for (std::size_t e = 0; e < params.entry_sample && sample.size() < n; ++e) {
-      const auto old_id = static_cast<std::uint32_t>(rng.next_below(n));
-      const std::uint32_t id = sg.old_to_new[old_id];
-      if (slot.test_and_set(id)) continue;
-      sample.push_back(id);
-    }
-    TopK entries(entry_keep);
-    score_ids(sample, entries);
-    for (const Neighbor& e : entries.take_sorted()) {
-      frontier.push(e, best.worst());
-      if (!is_excluded(e.id)) best.push(e.dist, e.id);
-    }
-
-    // Prefetch pipeline: while l2_batch scores one warp-tile of candidates,
-    // the next tile's base rows are already on their way — the BFS layout
-    // makes those rows near-adjacent, so the hints mostly hit the same pages.
-    std::vector<std::uint32_t>& expand = slot.expand;
-    auto prefetch_tile = [&](std::size_t t0) {
-      const std::size_t end = std::min(expand.size(), t0 + kWarpSize);
-      for (std::size_t i = t0; i < end; ++i) {
-        const float* r = sg.base.row(expand[i]).data();
-        for (std::size_t d = 0; d < dim; d += 16) WKNNG_PREFETCH(r + d);
-      }
-    };
-
-    std::size_t stale_hops = 0;
-    while (!frontier.empty()) {
-      const Neighbor cur = frontier.pop();
-      if (cur.dist > best.worst()) break;
-      if (params.visit_budget != 0 && visits >= params.visit_budget) {
-        capped = true;
-        break;
-      }
-      // The heap's new head is the likely next expansion: start its CSR row
-      // toward the cache while this hop streams.
-      if (!frontier.empty()) {
-        WKNNG_PREFETCH(sg.neighbors.data() + sg.offsets[frontier.top().id]);
-      }
-      expand.clear();
-      const auto row = sg.row(cur.id);
-      for (const std::uint32_t nb : row) {
-        if (slot.test_and_set(nb)) continue;
-        expand.push_back(nb);
-      }
-      w.count_read(row.size() * sizeof(std::uint32_t));
-      prefetch_tile(0);
-      bool improved = false;
-      for (std::size_t t0 = 0; t0 < expand.size(); t0 += kWarpSize) {
-        prefetch_tile(t0 + kWarpSize);
-        const std::size_t cnt =
-            std::min<std::size_t>(kWarpSize, expand.size() - t0);
-        Lanes<std::uint32_t> lane_ids{};
-        Lanes<bool> active{};
-        for (std::size_t l = 0; l < cnt; ++l) {
-          lane_ids[l] = expand[t0 + l];
-          active[l] = true;
-        }
-        const Lanes<float> d = simt::warp_l2_batch(
-            w, query, lane_ids, active,
-            [&](std::uint32_t p) { return sg.base.row(p); }, base_norms);
-        for (std::size_t l = 0; l < cnt; ++l) {
-          if (d[l] < best.worst()) {
-            frontier.push({d[l], lane_ids[l]}, best.worst());
-            if (!is_excluded(lane_ids[l])) {
-              best.push(d[l], lane_ids[l]);
-              improved = true;
-            }
-          }
-        }
-        visits += cnt;
-      }
-      if (params.patience != 0) {
-        stale_hops = improved ? 0 : stale_hops + 1;
-        if (stale_hops >= params.patience) break;
-      }
-    }
-
-    auto found = best.take_sorted();
-    if (found.size() > k_eff) found.resize(k_eff);
-    // Back to the caller's id space. The remap can reorder equal-distance
-    // ties, so re-establish the row invariant (sorted by (dist, id)).
-    for (Neighbor& nb : found) nb.id = sg.new_to_old[nb.id];
-    std::sort(found.begin(), found.end());
-    auto out_row = out.results.row(qi);
-    std::copy(found.begin(), found.end(), out_row.begin());
-    out.visits[qi] = visits;
-    out.capped[qi] = capped ? 1 : 0;
-  });
-
-  return out;
+                                       simt::StatsAccumulator* acc,
+                                       const kernels::Sq8View* sq8) {
+  return search_batch(
+      pool,
+      SearchTarget::over_layout(sg, exclude,
+                                sq8 != nullptr ? *sq8 : kernels::Sq8View{}),
+      queries, tags, params, scratch, acc);
 }
 
 KnnGraph graph_search(ThreadPool& pool, const FloatMatrix& base,

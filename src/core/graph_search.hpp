@@ -147,10 +147,11 @@ struct SearchStats {
 void validate_search_params(const SearchParams& params);
 
 /// Reusable per-worker search scratch — the arena a serving loop hands to
-/// every `graph_search_batch` call so the hot path stops paying an O(n)
-/// visited-array allocation+clear per query. Each worker thread lazily
-/// acquires a private slot (one mutex-protected lookup per query); inside a
-/// slot, visited marks are epoch-stamped so "clear" is a counter bump.
+/// every batched search so the hot path stops paying an O(n) visited-array
+/// allocation+clear per query. Each worker thread lazily acquires a private
+/// slot (one mutex-protected lookup per query); inside a slot, visited marks
+/// are epoch-stamped so "clear" is a counter bump. The scratch holds nothing
+/// derived from the data searched, so one scratch may serve any base.
 class SearchScratch {
  public:
   struct Slot {
@@ -185,18 +186,9 @@ class SearchScratch {
   /// The calling thread's slot (created on first use).
   Slot& local();
 
-  /// Squared-norm cache of the base rows, built lazily on the first batch
-  /// and reused by every later one (the serving engine searches one base for
-  /// its whole lifetime). Returns an empty span — "no cache" to the distance
-  /// kernels — in strict mode, or if the scratch is handed a base of a
-  /// different size than the one the cache was built for.
-  std::span<const float> base_norms(const FloatMatrix& base);
-
  private:
   std::mutex mutex_;
   std::unordered_map<std::thread::id, std::unique_ptr<Slot>> slots_;
-  std::once_flag norms_once_;
-  std::vector<float> base_norms_;
 };
 
 /// Result of a batched search: one KnnGraph row per query plus each query's
@@ -215,16 +207,64 @@ struct BatchSearchResult {
   std::vector<std::uint8_t> capped;
 };
 
-/// Batched entry point used by the serving engine: answers every row of
-/// `queries` against `base` using `graph` for navigation, one warp per query.
+/// What one batched search reads: a non-owning view over data whose owner
+/// (a serve::GraphSnapshot, an opt::ServingGraph, a shard) also owns the
+/// norm cache, so the cache lives and dies with the rows it describes.
+///
+/// The descent walks ids in the *base* id space: `base` rows, `norms`, the
+/// adjacency and `exclude` all share it. `old_to_new` / `new_to_old` relate
+/// it to the caller's *source* id space (entry samples are drawn in source
+/// ids, emitted neighbors are mapped back); both empty means the two spaces
+/// coincide. `sq8` codes stay in source-row order, so the scorer reads code
+/// row `new_to_old[id]` — a layout composes with the compressed tier without
+/// gathering the codes.
+struct SearchTarget {
+  const FloatMatrix* base = nullptr;
+  std::span<const float> norms;  ///< ||row||^2 per base row; empty = none
+
+  /// Adjacency: padded KnnGraph rows (kInvalid-terminated), or — when
+  /// `graph` is null — a CSR (`csr_offsets` has one entry per row plus one).
+  const KnnGraph* graph = nullptr;
+  std::span<const std::uint32_t> csr_offsets;
+  std::span<const std::uint32_t> csr_neighbors;
+
+  std::span<const std::uint32_t> old_to_new;  ///< empty = identity
+  std::span<const std::uint32_t> new_to_old;  ///< empty = identity
+  kernels::Sq8View sq8;                   ///< compressed tier; optional
+  std::span<const std::uint8_t> exclude;  ///< per base row; empty = none
+
+  /// A builder graph over `base` (source order throughout).
+  static SearchTarget over_graph(const FloatMatrix& base,
+                                 std::span<const float> norms,
+                                 const KnnGraph& graph,
+                                 kernels::Sq8View sq8 = {},
+                                 std::span<const std::uint8_t> exclude = {});
+
+  /// An optimized layout: its gathered rows, norms, CSR and permutation.
+  /// `exclude` (permuted space) replaces the layout's baked `sg.exclude`
+  /// when non-empty.
+  static SearchTarget over_layout(const opt::ServingGraph& sg,
+                                  std::span<const std::uint8_t> exclude = {},
+                                  kernels::Sq8View sq8 = {});
+};
+
+/// The search kernel: GNNS best-first descent, one warp per query, over any
+/// SearchTarget. Every other entry point in this header is an adapter.
 ///
 /// `tags[i]` seeds query i's RNG stream (entry sampling). Results are a pure
-/// function of (base, graph, params, query vector, tag) — independent of how
+/// function of (target, params, query vector, tag) — independent of how
 /// requests were batched together, which worker ran them, or what else was in
 /// the batch. This is the determinism contract `serve::ServeEngine` relies
 /// on: it tags each request once at admission, so replays and re-batched runs
 /// return bit-identical neighbors. An empty `tags` span means "use the row
 /// index", which reproduces the classic `graph_search` behavior.
+///
+/// External stability under a permutation: entries are drawn in source ids
+/// and mapped through `old_to_new`, and every emitted neighbor is mapped
+/// back through `new_to_old` — so an unpruned relayout of a graph returns
+/// the same (id, dist) rows and visit counts as the graph itself
+/// (tie-breaks between equal-distance points are the only possible
+/// difference).
 ///
 /// Degenerate inputs are clamped, never UB:
 ///  - zero queries → an empty result, no kernel launch
@@ -234,19 +274,33 @@ struct BatchSearchResult {
 ///
 /// `scratch` may be null (a private arena is used for the call).
 ///
-/// `sq8`, when valid, is the base's compressed tier (kernels::Sq8View over
-/// codes aligned with `base` rows): every candidate distance during entry
-/// scoring and descent streams the u8 code rows asymmetrically, and the top
-/// `params.rerank_depth` survivors are rescored against the fp32 base rows
-/// before the exact top-k is emitted. A null/invalid view leaves the search
-/// bit-identical to the uncompressed path.
+/// Compressed tier: when `target.sq8` is valid every candidate distance
+/// during entry scoring and descent streams the u8 code rows asymmetrically,
+/// and the top `params.rerank_depth` survivors are rescored against the fp32
+/// base rows before the exact top-k is emitted. An invalid view leaves the
+/// search bit-identical to the uncompressed path.
 ///
-/// `exclude`, when non-empty, must have one byte per base point; points with
-/// a non-zero byte (tombstones in the dynamic index) are *never admitted to
-/// the result top-k* (nor to the sq8 exact rerank) but remain navigable:
-/// the descent still walks through them, so a graph whose edges have not yet
-/// been repaired after a delete keeps its connectivity. An empty span is
-/// "no exclusions" and leaves the search bit-identical to before.
+/// Exclusions: points with a non-zero `exclude` byte (tombstones in the
+/// dynamic index) are *never admitted to the result top-k* (nor to the sq8
+/// exact rerank) but remain navigable: the descent still walks through them,
+/// so a graph whose edges have not yet been repaired after a delete keeps
+/// its connectivity.
+///
+/// Data movement: while one warp-tile of candidates is scored, the next
+/// tile's rows (code rows in sq8 mode) and the frontier head's adjacency row
+/// are prefetched. Rows of at most one cache line (dim <= 16) skip the row
+/// hint, which there lands no earlier than the load it precedes.
+BatchSearchResult search_batch(ThreadPool& pool, const SearchTarget& target,
+                               const FloatMatrix& queries,
+                               std::span<const std::uint64_t> tags,
+                               const SearchParams& params,
+                               SearchScratch* scratch = nullptr,
+                               simt::StatsAccumulator* acc = nullptr);
+
+/// search_batch over a builder graph. A one-shot adapter: it computes the
+/// base's norm cache for this call (long-lived callers keep one next to
+/// their rows and call search_batch with SearchTarget::over_graph).
+/// `exclude`, when non-empty, has one byte per base point.
 BatchSearchResult graph_search_batch(ThreadPool& pool, const FloatMatrix& base,
                                      const KnnGraph& graph,
                                      const FloatMatrix& queries,
@@ -257,39 +311,18 @@ BatchSearchResult graph_search_batch(ThreadPool& pool, const FloatMatrix& base,
                                      const kernels::Sq8View* sq8 = nullptr,
                                      std::span<const std::uint8_t> exclude = {});
 
-/// The optimized serve path: answers every query over a pruned,
-/// BFS-reordered CSR layout (opt::optimize_serving) instead of the raw
-/// builder graph. Same warp-per-query kernel shape and determinism contract
-/// as graph_search_batch, plus three serve-time levers:
-///
-///  - *Cache-blocked expansion with software prefetch*: neighbor lists are
-///    CSR rows in BFS order, and while `l2_batch` scores one warp-tile of
-///    candidates the next tile's base rows (and the frontier head's CSR row)
-///    are prefetched — the descent streams instead of pointer-chasing.
-///  - *Pruned degree*: occluded edges are gone, so each hop scores fewer
-///    candidates for the same navigability.
-///  - *Adaptive termination*: `params.patience` / `params.visit_budget`
-///    behave exactly as on the raw path.
-///
-/// External stability: entry sampling draws ids in the *pre-permutation* id
-/// space and maps them through `sg.old_to_new`, and every emitted neighbor is
-/// mapped back through `sg.new_to_old` — so with pruning disabled and no
-/// early termination, results are externally identical to
-/// graph_search_batch over the source graph (same entries, same distances,
-/// same ids; tie-breaks between equal-distance points are the only possible
-/// difference). Tombstones travel inside the layout (`sg.exclude`, permuted
-/// at build time), which is why a layout must never outlive the snapshot
-/// version it was built from — see opt::ServingGraph::source_version.
-///
-/// The sq8 compressed tier is not routed through the optimized layout
-/// (codes stay in source order); serving falls back to the raw path when a
-/// snapshot carries both.
+/// search_batch over an optimized layout (opt::optimize_serving): pruned,
+/// BFS-reordered CSR with gathered base rows and norms. Emitted ids are in
+/// the source graph's id space. Tombstones travel inside the layout
+/// (`sg.exclude`, permuted at build time), which is why a layout must never
+/// outlive the snapshot version it was built from — see
+/// opt::ServingGraph::source_version.
 ///
 /// `exclude`, when non-empty, must have one byte per layout row *in the
-/// permuted id space* and replaces the layout's baked `sg.exclude` — the
-/// dynamic index uses this to serve delete-only publications through a reused
-/// layout by re-permuting the fresh tombstone vector instead of rebuilding
-/// the whole layout. Empty = use `sg.exclude` as built.
+/// permuted id space* and replaces `sg.exclude` — the dynamic index uses
+/// this to serve delete-only publications through a reused layout.
+/// `sq8`, when valid, is the source base's compressed tier in source-row
+/// order; it is scored through the layout's permutation.
 BatchSearchResult serving_search_batch(ThreadPool& pool,
                                        const opt::ServingGraph& sg,
                                        const FloatMatrix& queries,
@@ -297,7 +330,8 @@ BatchSearchResult serving_search_batch(ThreadPool& pool,
                                        const SearchParams& params,
                                        std::span<const std::uint8_t> exclude = {},
                                        SearchScratch* scratch = nullptr,
-                                       simt::StatsAccumulator* acc = nullptr);
+                                       simt::StatsAccumulator* acc = nullptr,
+                                       const kernels::Sq8View* sq8 = nullptr);
 
 /// Answers every query against `base` using `graph` for navigation; one
 /// warp per query on the SIMT substrate. Returns a KnnGraph with one row per

@@ -184,4 +184,11 @@ inline std::vector<float> row_norms(const FloatMatrix& m) {
   return norms;
 }
 
+/// The norm cache a dataset's owner keeps next to its rows: row_norms, or
+/// empty in strict mode (the scalar backend ignores caches, so the pass
+/// would be wasted).
+inline std::vector<float> norm_cache(const FloatMatrix& m) {
+  return strict_mode() ? std::vector<float>{} : row_norms(m);
+}
+
 }  // namespace wknng::kernels

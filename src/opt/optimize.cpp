@@ -207,7 +207,7 @@ ServingGraph optimize_serving(ThreadPool& pool, const FloatMatrix& base,
     std::copy(src.begin(), src.end(), sg.base.row(i).begin());
     if (!tombstones.empty()) sg.exclude[i] = tombstones[old_id];
   }
-  if (!kernels::strict_mode()) sg.norms = kernels::row_norms(sg.base);
+  sg.norms = kernels::norm_cache(sg.base);
   return sg;
 }
 

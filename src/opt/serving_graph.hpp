@@ -35,7 +35,7 @@ struct OptimizeOptions {
 /// into CSR, rows renumbered into BFS order with the base vectors gathered
 /// to match, plus the old<->new permutation that keeps externally visible
 /// ids stable. Built once per published graph by opt::optimize_serving;
-/// consumed by core::serving_search_batch.
+/// searched through core::SearchTarget::over_layout.
 ///
 /// Id spaces: `neighbors`, `exclude`, `norms` and `base` rows live in the
 /// *new* (permuted) space; `new_to_old[i]` maps a new id back to the source

@@ -39,7 +39,7 @@ struct QueryResult {
 };
 
 /// One queued request. `tag` seeds the query's RNG stream in
-/// core::graph_search_batch — assigned once at admission so the result is
+/// core::search_batch — assigned once at admission so the result is
 /// independent of how requests get batched. `deadline` of time_point::max()
 /// means none.
 struct Request {

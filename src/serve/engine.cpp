@@ -42,9 +42,6 @@ ServeEngine::ServeEngine(ThreadPool& pool, ServeOptions options,
   WKNNG_CHECK_MSG(slot_.current() != nullptr,
                   "ServeEngine needs an initial snapshot");
   WKNNG_CHECK_MSG(options_.workers > 0, "ServeEngine needs >= 1 worker");
-  if (options_.rerank_depth != 0) {
-    options_.search.rerank_depth = options_.rerank_depth;
-  }
   // Admission validation at construction: a misconfigured engine (k == 0,
   // entry_sample == 0) throws SearchParamError here, before any thread
   // starts, instead of failing every query.
@@ -224,21 +221,18 @@ void ServeEngine::maybe_audit(const Request& r, const QueryResult& qr,
   auditor_->submit(r.tag, r.query, std::move(served), std::move(target));
 }
 
-core::BatchSearchResult ServeEngine::run_optimized(
-    const opt::ServingGraph& sg, std::span<const std::uint8_t> exclude,
-    const FloatMatrix& queries, std::span<const std::uint64_t> tags,
+core::BatchSearchResult ServeEngine::run_search(
+    const core::SearchTarget& target, const FloatMatrix& queries,
+    std::span<const std::uint64_t> tags,
     std::vector<std::uint32_t>* escalations,
     std::vector<std::uint64_t>* budgets) {
   core::SearchParams p = options_.search;
-  p.patience = options_.patience;
-  p.visit_budget =
-      budget_ != nullptr ? budget_->predict() : options_.visit_budget;
+  if (budget_ != nullptr) p.visit_budget = budget_->predict();
   if (escalations != nullptr) escalations->assign(queries.rows(), 0);
   if (budgets != nullptr) budgets->assign(queries.rows(), p.visit_budget);
 
-  core::BatchSearchResult result = core::serving_search_batch(
-      *pool_, sg, queries, tags, p, exclude, &scratch_, nullptr);
-  metrics_.optimized_queries.add(queries.rows());
+  core::BatchSearchResult result = core::search_batch(
+      *pool_, target, queries, tags, p, &scratch_, nullptr);
 
   if (budget_ != nullptr) {
     // Bucketing escalation: re-run only the queries the predicted rung
@@ -262,8 +256,8 @@ core::BatchSearchResult ServeEngine::run_optimized(
         if (escalations != nullptr) ++(*escalations)[retry[j]];
         if (budgets != nullptr) (*budgets)[retry[j]] = p.visit_budget;
       }
-      core::BatchSearchResult esc = core::serving_search_batch(
-          *pool_, sg, sub, sub_tags, p, exclude, &scratch_, nullptr);
+      core::BatchSearchResult esc = core::search_batch(
+          *pool_, target, sub, sub_tags, p, &scratch_, nullptr);
       metrics_.escalations.add(retry.size());
       for (std::size_t j = 0; j < retry.size(); ++j) {
         const std::size_t i = retry[j];
@@ -358,33 +352,19 @@ void ServeEngine::run_batch(std::vector<Request> batch) {
     tags[i] = live[i].tag;
   }
 
-  // Compressed tier: score through the snapshot's codes when it carries
-  // them. The view aliases `snap`, which this batch keeps pinned.
-  const kernels::Sq8View sq8 = snap->sq8_view();
-  // Optimized layout: route through the pruned, cache-blocked CSR when the
-  // snapshot carries one. The sq8 tier keeps codes in source order, so a
-  // snapshot with both falls back to the raw path (see serving_search_batch).
-  const opt::ServingGraph* layout =
-      sq8.valid() ? nullptr : snap->serving_layout();
-  if (span && layout != nullptr) {
-    span->arg_num("optimized", std::uint64_t{1});
-  }
+  // The snapshot's layout when it carries one, its raw graph otherwise, with
+  // its norm cache and sq8 tier. The target aliases `snap`, which this batch
+  // keeps pinned.
+  const core::SearchTarget target = snap->search_target();
+  const bool optimized = snap->serving_layout() != nullptr;
+  if (span && optimized) span->arg_num("optimized", std::uint64_t{1});
 
   ctx.batch_size = static_cast<std::uint32_t>(live.size());
   core::BatchSearchResult result;
   std::vector<std::uint32_t> escalations;
   std::vector<std::uint64_t> budgets;
   try {
-    if (layout != nullptr) {
-      result = run_optimized(*layout, snap->serving_exclusion(), queries, tags,
-                             &escalations, &budgets);
-    } else {
-      result = core::graph_search_batch(*pool_, snap->base, snap->graph,
-                                        queries, tags, options_.search,
-                                        &scratch_, nullptr,
-                                        sq8.valid() ? &sq8 : nullptr,
-                                        snap->exclusion_mask());
-    }
+    result = run_search(target, queries, tags, &escalations, &budgets);
   } catch (const std::exception& e) {
     // A failed batch (e.g. an injected LaunchAllocError) answers every
     // request with a typed failure; the engine itself stays live.
@@ -404,6 +384,7 @@ void ServeEngine::run_batch(std::vector<Request> batch) {
 
   const auto done = Clock::now();
   metrics_.queries.add(live.size());
+  if (optimized) metrics_.optimized_queries.add(live.size());
   for (std::size_t i = 0; i < live.size(); ++i) {
     Request& r = live[i];
     QueryResult qr;

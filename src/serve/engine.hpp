@@ -32,13 +32,11 @@ struct ServeOptions {
   std::size_t workers = 2;             ///< batch executor threads
   std::size_t queue_capacity = 4096;   ///< pending requests before shedding
   std::uint64_t default_deadline_us = 0;  ///< per-request default; 0 = none
-  core::SearchParams search;           ///< kernel parameters (k, beam, seed)
-
-  /// Compressed-tier rerank depth; nonzero overrides `search.rerank_depth`
-  /// at engine construction. Only meaningful when served snapshots carry an
-  /// SQ8 tier (GraphSnapshot::sq8); see core::SearchParams::rerank_depth
-  /// for the 0 = auto (2k) semantics.
-  std::size_t rerank_depth = 0;
+  /// Kernel parameters (k, beam, seed), applied to every batch whatever the
+  /// snapshot carries: `search.patience` / `search.visit_budget` terminate
+  /// descents early, `search.rerank_depth` sets the SQ8 tier's exact-rerank
+  /// depth (see core::SearchParams; all default to off / auto).
+  core::SearchParams search;
   obs::ObsParams obs;                  ///< span-tracing participation knobs
 
   /// Serve-path optimization. With `optimize` on, the engine ensures every
@@ -47,20 +45,14 @@ struct ServeOptions {
   /// are optimized synchronously on the publisher's thread before the swap.
   /// Snapshots that already carry a layout (e.g. from the dynamic index) are
   /// served as-is. With `optimize` off, snapshots still route through their
-  /// layout when they happen to carry one.
+  /// layout when they happen to carry one — SQ8 snapshots included.
   bool optimize = false;
   opt::OptimizeOptions optimize_options;
 
-  /// Early-termination knobs for the optimized path (raw-path batches are
-  /// untouched — their results stay bit-identical to the engine's historical
-  /// behavior). `patience` / `visit_budget` map onto the same-named
-  /// core::SearchParams fields; 0 = off.
-  std::size_t patience = 0;
-  std::size_t visit_budget = 0;
-
   /// Learned per-query budgets: predict a cheap rung for every fresh query,
   /// re-run the (few) queries the rung capped at successively higher rungs,
-  /// feed completed costs back to the learner. Overrides `visit_budget`.
+  /// feed completed costs back to the learner. Overrides
+  /// `search.visit_budget`.
   /// Escalation re-runs make per-query latency depend on the learned ladder
   /// (and therefore on observation order), so results stay correct but the
   /// visit *counts* are no longer a pure function of the request — keep this
@@ -89,8 +81,10 @@ struct ServeOptions {
 /// stamps its deadline, and enqueues it (or sheds, typed, when the queue is
 /// full). Executor threads form micro-batches (flush at `max_batch` or
 /// `max_delay_us`, whichever first), pin the current GraphSnapshot, and run
-/// the warp-per-query `core::graph_search_batch` kernel on the shared
-/// ThreadPool — several batches in flight use the pool's multi-job
+/// the warp-per-query `core::search_batch` kernel over the snapshot's
+/// search target (GraphSnapshot::search_target: its layout if it carries
+/// one, its raw graph otherwise, plus its norm cache and SQ8 tier) on the
+/// shared ThreadPool — several batches in flight use the pool's multi-job
 /// scheduling, the substrate's analogue of concurrent kernels on one device.
 ///
 /// Snapshots: `publish` atomically swaps the graph (std::shared_ptr store);
@@ -171,14 +165,13 @@ class ServeEngine {
   void worker_loop();
   void run_batch(std::vector<Request> batch);
 
-  /// One batch through the optimized layout: predicted budget, then
-  /// escalation re-runs for the queries the rung capped (adaptive mode).
-  core::BatchSearchResult run_optimized(const opt::ServingGraph& sg,
-                                        std::span<const std::uint8_t> exclude,
-                                        const FloatMatrix& queries,
-                                        std::span<const std::uint64_t> tags,
-                                        std::vector<std::uint32_t>* escalations,
-                                        std::vector<std::uint64_t>* budgets);
+  /// One batch through the kernel: predicted budget, then escalation
+  /// re-runs for the queries the rung capped (adaptive mode).
+  core::BatchSearchResult run_search(const core::SearchTarget& target,
+                                     const FloatMatrix& queries,
+                                     std::span<const std::uint64_t> tags,
+                                     std::vector<std::uint32_t>* escalations,
+                                     std::vector<std::uint64_t>* budgets);
   void finish(Request& r, QueryResult qr,
               std::chrono::steady_clock::time_point now,
               const BatchContext* ctx = nullptr);

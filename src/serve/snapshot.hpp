@@ -9,6 +9,7 @@
 
 #include "common/knn_graph.hpp"
 #include "common/matrix.hpp"
+#include "core/graph_search.hpp"
 #include "kernels/kernels.hpp"
 #include "kernels/sq8.hpp"
 #include "opt/serving_graph.hpp"
@@ -25,6 +26,10 @@ namespace wknng::serve {
 /// graph. `version` is the publisher's monotonic label — responses carry it
 /// so a client (or a test) can say exactly which graph answered them.
 ///
+/// The snapshot owns the base's squared-norm cache (`norms`, computed at
+/// construction like the SQ8 term cache), so the cache can never describe
+/// another snapshot's rows.
+///
 /// A snapshot may additionally carry the base's SQ8 compressed tier (the
 /// code matrix the builder trained under `compression=sq8`, plus the
 /// per-row term cache). When present, batch executors score candidates
@@ -33,7 +38,7 @@ namespace wknng::serve {
 /// A snapshot published by the dynamic index (src/dynamic) additionally
 /// carries the mutable-lifecycle metadata frozen at publish time:
 /// `tombstones` (one byte per base row; non-zero = deleted, the executor
-/// hands it to graph_search_batch as the exclusion mask so deleted points are
+/// hands it to the search kernel as the exclusion mask so deleted points are
 /// invisible to results the moment the snapshot lands) and `external_ids`
 /// (internal row -> stable client-facing id; the executor remaps every
 /// emitted neighbor, so ids survive compaction's row rewrites). Both are
@@ -42,6 +47,7 @@ struct GraphSnapshot {
   std::uint64_t version = 0;
   FloatMatrix base;
   KnnGraph graph;
+  std::vector<float> norms;  ///< ||row||^2 per base row (empty in strict mode)
   std::shared_ptr<const kernels::Sq8Matrix> sq8;  ///< optional compressed tier
   std::vector<float> sq8_terms;  ///< per-row term cache (empty in strict mode)
   std::shared_ptr<const std::vector<std::uint8_t>> tombstones;
@@ -49,8 +55,8 @@ struct GraphSnapshot {
 
   /// Optional optimized serving layout (opt::optimize_serving over this
   /// snapshot's graph): pruned edges, BFS/CSR relayout, gathered base rows.
-  /// Batch executors route through core::serving_search_batch when present
-  /// (and no sq8 tier is carried); null serves exactly as before.
+  /// Batch executors search through it when present (the sq8 tier, if any,
+  /// is scored through its permutation); null serves the raw graph.
   std::shared_ptr<const opt::ServingGraph> serving;
 
   /// Tombstones re-permuted into `serving`'s id space, frozen at publish.
@@ -61,12 +67,10 @@ struct GraphSnapshot {
   std::shared_ptr<const std::vector<std::uint8_t>> serving_exclude;
 
   GraphSnapshot() = default;
-  GraphSnapshot(std::uint64_t v, FloatMatrix b, KnnGraph g)
-      : version(v), base(std::move(b)), graph(std::move(g)) {}
   GraphSnapshot(std::uint64_t v, FloatMatrix b, KnnGraph g,
-                std::shared_ptr<const kernels::Sq8Matrix> codes)
+                std::shared_ptr<const kernels::Sq8Matrix> codes = nullptr)
       : version(v), base(std::move(b)), graph(std::move(g)),
-        sq8(std::move(codes)) {
+        norms(kernels::norm_cache(base)), sq8(std::move(codes)) {
     if (sq8 != nullptr && !kernels::strict_mode()) {
       sq8_terms = kernels::sq8_code_terms(*sq8);
     }
@@ -98,8 +102,7 @@ struct GraphSnapshot {
 
   /// The optimized layout to serve through, or null when the snapshot
   /// carries none or the layout's shape does not match this snapshot's base
-  /// (a layout from another graph is never served). The sq8 fallback is the
-  /// executor's call, not this accessor's.
+  /// (a layout from another graph is never served).
   const opt::ServingGraph* serving_layout() const {
     if (serving == nullptr) return nullptr;
     if (serving->dim != base.cols() || serving->n() != base.rows()) {
@@ -118,6 +121,18 @@ struct GraphSnapshot {
       return {serving_exclude->data(), serving_exclude->size()};
     }
     return {serving->exclude.data(), serving->exclude.size()};
+  }
+
+  /// What a batch executor searches: the optimized layout when one is
+  /// served, the raw graph otherwise — with the sq8 tier, if carried, in
+  /// either case. The target aliases this snapshot; keep it pinned.
+  core::SearchTarget search_target() const {
+    if (const opt::ServingGraph* sg = serving_layout()) {
+      return core::SearchTarget::over_layout(*sg, serving_exclusion(),
+                                             sq8_view());
+    }
+    return core::SearchTarget::over_graph(base, norms, graph, sq8_view(),
+                                          exclusion_mask());
   }
 };
 

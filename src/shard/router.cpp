@@ -22,7 +22,7 @@ ShardRouter::ShardRouter(ThreadPool& pool, const ShardBuildResult& build,
     if (build.shard_graphs[s].num_points() == 0) continue;  // quarantined
     routable_.push_back(static_cast<std::uint32_t>(s));
     centroid_rows_.push_back(build.partition.centroids.row(s).data());
-    scratch_.push_back(std::make_unique<core::SearchScratch>());
+    norms_.push_back(kernels::norm_cache(build.shard_bases[s]));
   }
   WKNNG_CHECK_MSG(!routable_.empty(), "no routable shards (all quarantined)");
 }
@@ -99,9 +99,11 @@ KnnGraph ShardRouter::route_batch(const FloatMatrix& queries,
       std::copy(src.begin(), src.end(), sub.row(q).begin());
       tags[q] = qs[q];  // global batch index: batching-independent results
     }
-    const core::BatchSearchResult found = core::graph_search_batch(
-        *pool_, build_->shard_bases[s], build_->shard_graphs[s], sub, tags,
-        params_.search, scratch_[r].get());
+    const core::BatchSearchResult found = core::search_batch(
+        *pool_,
+        core::SearchTarget::over_graph(build_->shard_bases[s], norms_[r],
+                                       build_->shard_graphs[s]),
+        sub, tags, params_.search, &scratch_);
     const std::vector<std::uint32_t>& locals = build_->partition.members[s];
     for (std::size_t q = 0; q < qs.size(); ++q) {
       const auto cands = found.results.row(q);

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -75,8 +74,9 @@ class ShardRouter {
   /// Monotone tick for the fan-out window: one per routed query, so window
   /// membership depends on route order, never on a clock.
   mutable std::atomic<std::uint64_t> fanout_tick_{0};
-  /// Per-shard scratch (SearchScratch is non-movable, hence unique_ptr).
-  mutable std::vector<std::unique_ptr<core::SearchScratch>> scratch_;
+  /// Norm cache per routable shard base, built once at construction.
+  std::vector<std::vector<float>> norms_;
+  mutable core::SearchScratch scratch_;
 };
 
 }  // namespace wknng::shard

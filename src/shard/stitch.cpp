@@ -81,7 +81,7 @@ StitchStats stitch_graph(ThreadPool& pool, const FloatMatrix& points,
 
   core::SearchParams sp = params.search;
   sp.k = params.candidates != 0 ? params.candidates : merged.k();
-  core::SearchScratch scratch;
+  core::SearchScratch scratch;  // visited marks only: safe across bases
 
   for (std::size_t t = 0; t < shards; ++t) {
     const std::vector<std::uint32_t>& qs = probes[t];

@@ -265,7 +265,7 @@ TEST(Sq8Serve, EngineServesCompressedSnapshot) {
 
   serve::ServeOptions so;
   so.search.k = 8;
-  so.rerank_depth = 24;
+  so.search.rerank_depth = 24;
   serve::ServeEngine engine(pool, so,
                             serve::make_snapshot(1, pts, r.graph, r.sq8));
   ASSERT_TRUE(engine.snapshot()->sq8_view().valid());
@@ -298,6 +298,41 @@ TEST(Sq8Serve, EngineServesCompressedSnapshot) {
   // before visiting the query point itself, but only rarely.
   EXPECT_GE(found_self, futures.size() - 2);
   engine.stop();
+
+  // With an optimized layout attached the engine serves the SQ8 snapshot
+  // through it (no raw-path fallback): answers equal a direct kernel call
+  // with the same tags, and the rerank still emits exact fp32 distances.
+  const auto laid = serve::with_serving_layout(
+      pool, serve::make_snapshot(2, pts, r.graph, r.sq8));
+  ASSERT_NE(laid->serving_layout(), nullptr);
+  serve::ServeEngine laid_engine(pool, so, laid);
+  FloatMatrix queries(16, pts.cols());
+  std::vector<std::uint64_t> tags(queries.rows());
+  for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
+    const auto src = pts.row(3 * qi + 1);
+    std::copy(src.begin(), src.end(), queries.row(qi).begin());
+    tags[qi] = 100 + qi;
+  }
+  const kernels::Sq8View view = laid->sq8_view();
+  const BatchSearchResult direct = serving_search_batch(
+      pool, *laid->serving_layout(), queries, tags, so.search,
+      laid->serving_exclusion(), nullptr, nullptr, &view);
+  for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
+    const auto q = queries.row(qi);
+    const serve::QueryResult qr =
+        laid_engine.submit({q.begin(), q.end()}, 0, tags[qi]).get();
+    ASSERT_EQ(qr.status, serve::QueryStatus::kOk) << qr.error;
+    const auto want = direct.results.row(qi);
+    ASSERT_EQ(qr.neighbors.size(), direct.results.row_size(qi));
+    EXPECT_EQ(qr.points_visited, direct.visits[qi]) << "query " << qi;
+    for (std::size_t s = 0; s < qr.neighbors.size(); ++s) {
+      EXPECT_EQ(qr.neighbors[s], want[s]) << "query " << qi << " slot " << s;
+      EXPECT_EQ(qr.neighbors[s].dist,
+                kernels::l2_one(q, pts.row(qr.neighbors[s].id)));
+    }
+  }
+  laid_engine.drain();
+  EXPECT_EQ(laid_engine.metrics().optimized_queries.value(), queries.rows());
 }
 
 }  // namespace

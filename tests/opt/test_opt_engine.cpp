@@ -155,8 +155,8 @@ TEST(OptEngine, AdaptiveBudgetLearnsALadderWhileAnswersStayValid) {
 TEST(OptEngine, FixedBudgetAndPatienceStillAnswerEveryQuery) {
   Fixture f;
   ServeOptions so = f.options();
-  so.patience = 2;
-  so.visit_budget = 96;
+  so.search.patience = 2;
+  so.search.visit_budget = 96;
   // Entry scoring counts toward the budget; keep the sample below the cap so
   // the bound below (budget + one hop of slack) is the binding one.
   so.search.entry_sample = 32;
@@ -169,7 +169,7 @@ TEST(OptEngine, FixedBudgetAndPatienceStillAnswerEveryQuery) {
     const QueryResult qr = fut.get();
     f.expect_ok_row(qr);
     // Budget granularity: one hop of slack past the cap, never more.
-    EXPECT_LE(qr.points_visited, so.visit_budget + f.graph.k());
+    EXPECT_LE(qr.points_visited, so.search.visit_budget + f.graph.k());
   }
 }
 

@@ -12,6 +12,7 @@
 #include "core/graph_search.hpp"
 #include "data/synthetic.hpp"
 #include "exact/brute_force.hpp"
+#include "kernels/sq8.hpp"
 
 namespace wknng::opt {
 namespace {
@@ -109,16 +110,27 @@ TEST(OptReorder, UnprunedReorderedSearchIsExternallyIdentical) {
       f.pool, f.base, f.graph, {.prune = false, .reorder = true});
   core::SearchParams sp;
   sp.k = 8;
-  const core::BatchSearchResult raw = core::graph_search_batch(
-      f.pool, f.base, f.graph, f.queries, {}, sp);
-  const core::BatchSearchResult optimized = core::serving_search_batch(
-      f.pool, sg, f.queries, {}, sp);
-  ASSERT_EQ(optimized.results.num_points(), raw.results.num_points());
-  for (std::size_t qi = 0; qi < f.queries.rows(); ++qi) {
-    ASSERT_EQ(optimized.visits[qi], raw.visits[qi]) << "query " << qi;
-    for (std::size_t s = 0; s < sp.k; ++s) {
-      ASSERT_EQ(optimized.results.row(qi)[s], raw.results.row(qi)[s])
-          << "query " << qi << " slot " << s;
+  // The SQ8 tier rides the layout too: codes stay in source order and are
+  // scored through the permutation, the rerank reads the gathered rows.
+  const kernels::Sq8Matrix codes = kernels::sq8_encode(f.base);
+  const std::vector<float> terms = kernels::sq8_code_terms(codes);
+  const kernels::Sq8View sq8{&codes, terms};
+  for (const kernels::Sq8View* tier : {static_cast<const kernels::Sq8View*>(
+                                           nullptr),
+                                       &sq8}) {
+    const core::BatchSearchResult raw = core::graph_search_batch(
+        f.pool, f.base, f.graph, f.queries, {}, sp, nullptr, nullptr, tier);
+    const core::BatchSearchResult optimized = core::serving_search_batch(
+        f.pool, sg, f.queries, {}, sp, {}, nullptr, nullptr, tier);
+    ASSERT_EQ(optimized.results.num_points(), raw.results.num_points());
+    for (std::size_t qi = 0; qi < f.queries.rows(); ++qi) {
+      ASSERT_EQ(optimized.visits[qi], raw.visits[qi])
+          << "sq8=" << (tier != nullptr) << " query " << qi;
+      for (std::size_t s = 0; s < sp.k; ++s) {
+        ASSERT_EQ(optimized.results.row(qi)[s], raw.results.row(qi)[s])
+            << "sq8=" << (tier != nullptr) << " query " << qi << " slot "
+            << s;
+      }
     }
   }
 }

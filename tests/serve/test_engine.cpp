@@ -14,6 +14,7 @@
 #include "core/graph_search.hpp"
 #include "data/synthetic.hpp"
 #include "dynamic/dynamic_knng.hpp"
+#include "kernels/kernels.hpp"
 #include "simt/fault.hpp"
 #include "support/temp_dir.hpp"
 
@@ -317,6 +318,58 @@ TEST(ServeEngine, InFlightRequestsFinishOnTheirPinnedSnapshotUnderChurn) {
   EXPECT_EQ(fresh.snapshot_version, final_version);
   engine.stop();
   std::filesystem::remove_all(dir);
+}
+
+TEST(ServeEngine, SameShapeRepublishScoresAgainstTheNewBase) {
+  // The norm cache travels with the snapshot: after a publish of a base
+  // with the same shape but different rows, every answered distance is the
+  // true distance to the new rows — never one computed with the old
+  // snapshot's norms.
+  ThreadPool pool(4);
+  constexpr std::size_t kN = 2000, kDim = 32;
+  core::BuildParams bp;
+  bp.k = 10;
+  bp.num_trees = 4;
+  bp.refine_iters = 1;
+  const FloatMatrix a = data::make_clusters(kN, kDim, 8, 0.1f, 5);
+  const FloatMatrix b = data::make_clusters(kN, kDim, 8, 0.1f, 6);
+  ServeOptions so;
+  so.search.k = 5;
+  ServeEngine engine(pool, so,
+                     make_snapshot(1, a, core::build_knng(pool, a, bp).graph));
+  const auto a_row = a.row(7);
+  ASSERT_EQ(engine.submit({a_row.begin(), a_row.end()}, 0, 0).get().status,
+            QueryStatus::kOk);
+  engine.publish(make_snapshot(2, b, core::build_knng(pool, b, bp).graph));
+
+  std::vector<std::future<QueryResult>> futs;
+  for (std::size_t qi = 0; qi < 64; ++qi) {
+    const auto row = b.row(qi);
+    futs.push_back(engine.submit({row.begin(), row.end()}, 0, qi));
+  }
+  for (std::size_t qi = 0; qi < futs.size(); ++qi) {
+    const QueryResult qr = futs[qi].get();
+    ASSERT_EQ(qr.status, QueryStatus::kOk) << qr.error;
+    ASSERT_EQ(qr.snapshot_version, 2u);
+    ASSERT_FALSE(qr.neighbors.empty());
+    const auto q = b.row(qi);
+    for (const Neighbor& nb : qr.neighbors) {
+      ASSERT_LT(nb.id, kN);
+      const auto x = b.row(nb.id);
+      const float want = kernels::l2_serial(q, x);
+      if (kernels::strict_mode()) {
+        EXPECT_EQ(nb.dist, want) << "query " << qi << " id " << nb.id;
+      } else {
+        // SIMD backends score with the norm trick: equal up to rounding on
+        // the scale of the two squared norms.
+        const float scale = kernels::ops().norm_sq(q.data(), kDim) +
+                            kernels::ops().norm_sq(x.data(), kDim);
+        EXPECT_NEAR(nb.dist, want, 1e-5f * scale)
+            << "query " << qi << " id " << nb.id;
+      }
+    }
+  }
+  engine.stop();
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <set>
@@ -14,6 +15,7 @@
 #include "data/synthetic.hpp"
 #include "exact/brute_force.hpp"
 #include "exact/recall.hpp"
+#include "kernels/kernels.hpp"
 #include "shard/manager.hpp"
 #include "shard/router.hpp"
 #include "support/temp_dir.hpp"
@@ -204,6 +206,42 @@ TEST_F(ShardRouterTest, SixteenShardStitchedRecallWithinTwoPercent) {
       << "mono=" << mono_recall << " sharded=" << shard_recall
       << " boundary=" << sharded.report.boundary_points
       << " stitched=" << sharded.report.stitched_edges;
+}
+
+TEST_F(ShardRouterTest, StitchedEdgesCarryTrueDistances) {
+  // Equal-sized shards (random partitioner, n divisible by the shard count)
+  // share one search scratch during the stitch round: every merged edge's
+  // distance must still be the distance between its endpoints, i.e. each
+  // shard's descent scores against that shard's own rows and norms.
+  ThreadPool pool;
+  constexpr std::size_t kDim = 32;
+  const FloatMatrix pts = data::make_clusters(2000, kDim, 8, 0.1f, 21);
+  ShardBuildParams p;
+  p.build = base_build(10);
+  p.partition.shards = 4;
+  p.partition.partitioner = Partitioner::kRandom;
+  p.workers = 2;
+  p.artifact_prefix = (dir_ / "s").string();
+  const ShardBuildResult build = build_sharded_knng(pool, pts, p);
+  ASSERT_GT(build.report.stitched_edges, 0u);
+
+  std::size_t wrong = 0;
+  for (std::size_t i = 0; i < build.merged.num_points(); ++i) {
+    const auto x = pts.row(i);
+    for (const Neighbor& nb : build.merged.row(i)) {
+      if (nb.id == KnnGraph::kInvalid) break;
+      const auto y = pts.row(nb.id);
+      const float want = kernels::l2_serial(x, y);
+      // SIMD backends build and search with the norm trick: equal up to
+      // rounding on the scale of the two squared norms.
+      const float tol = kernels::strict_mode()
+                            ? 0.0f
+                            : 1e-5f * (kernels::ops().norm_sq(x.data(), kDim) +
+                                       kernels::ops().norm_sq(y.data(), kDim));
+      if (std::abs(nb.dist - want) > tol) ++wrong;
+    }
+  }
+  EXPECT_EQ(wrong, 0u);
 }
 
 }  // namespace
