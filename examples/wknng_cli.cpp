@@ -106,8 +106,9 @@
 //                        concurrency, or open-loop Poisson arrivals
 //   --serve-rate QPS     open-loop offered load (default 10000)
 //   --serve-concurrency N closed-loop submitter threads (default 4)
-//   --serve-batch N      engine micro-batch flush size (default 32)
-//   --serve-delay-us N   engine partial-batch flush delay (default 200)
+//   --serve-batch N      engine micro-batch size cap (default 32)
+//   --serve-delay-us N   engine partial-batch linger; 0 = dispatch what is
+//                        queued at once (default 0)
 //   --serve-deadline-us N per-request deadline, 0 = none (default 0)
 //   --serve-workers N    engine batch-executor threads (default 2)
 //   --serve-metrics PATH write the engine's metrics JSON here
@@ -229,7 +230,7 @@ struct Options {
   double serve_rate = 10000.0;         // open-loop offered qps
   std::size_t serve_concurrency = 4;   // closed-loop submitter threads
   std::size_t serve_batch = 32;        // engine max_batch
-  std::uint64_t serve_delay_us = 200;  // engine partial-batch flush delay
+  std::uint64_t serve_delay_us = 0;    // engine partial-batch linger
   std::uint64_t serve_deadline_us = 0; // per-request deadline (0 = none)
   std::size_t serve_workers = 2;       // engine executor threads
   std::string serve_metrics;           // metrics JSON output path

@@ -30,10 +30,12 @@ python3 scripts/lint_prom.py "$RESULTS/metrics.prom" \
   'wknng_kernel_backend_info'
 # Fig. 15 — the online SLO & quality plane end to end: a serve run with a
 # tight latency objective, sampled recall audits, and the flight recorder on.
-# The tight objective guarantees promoted flight records and at least one
-# burn-rate alert edge, so every gate below exercises a non-trivial artifact.
+# A 200 us linger holds every read for at least the 200 us objective, which
+# guarantees promoted flight records and at least one burn-rate alert edge,
+# so every gate below exercises a non-trivial artifact.
 "$BUILD"/examples/wknng_cli --synthetic clusters:20000:32 --k 10 --serve \
-  --serve-requests 2000 --slo 200:0.8 --audit-fraction 0.25 \
+  --serve-requests 2000 --serve-delay-us 200 --slo 200:0.8 \
+  --audit-fraction 0.25 \
   --flight-log "$RESULTS/flight.jsonl" --slo-report "$RESULTS/slo_report.json" \
   --trace-out "$RESULTS/slo_trace.json" \
   --metrics-out "$RESULTS/slo_metrics.prom" --metrics-format prom --sample 0

@@ -469,8 +469,28 @@ std::size_t DynamicKnng::apply_repair(std::size_t rounds, bool replaying) {
       const std::uint32_t p = work[w.id()];
       if (tombstone_[p] != 0) return;
 
+      // The row's surviving live entries come first (their distances are
+      // stored) and are marked seen, so the candidate pool below never
+      // re-offers an id the row already holds: a duplicate word in a sorted
+      // row would let a later merge free its slot, raise the row's worst
+      // bound and make the tiled prune depend on insert order.
       std::vector<std::uint8_t> seen(points_.rows(), 0);
       seen[p] = 1;
+      TopK best(k);
+      const std::uint64_t* slots = sets_.row(p);
+      for (std::size_t s = 0; s < k; ++s) {
+        const std::uint64_t v = slots[s];
+        if (Packed::is_empty(v) || !Packed::is_finite(v)) continue;
+        const std::uint32_t id = Packed::id(v);
+        if (id >= points_.rows() || seen[id] != 0 || tombstone_[id] != 0) {
+          continue;
+        }
+        seen[id] = 1;
+        best.push(Packed::dist(v), id);
+      }
+      w.count_read(k * sizeof(std::uint64_t));
+
+      // Rescore the candidate pool, take the k best of the union.
       std::vector<std::uint32_t> cand;
       cand.reserve(sample_cap);
       auto consider = [&](std::uint32_t c) {
@@ -487,20 +507,6 @@ std::size_t DynamicKnng::apply_repair(std::size_t rounds, bool replaying) {
       for (const std::uint32_t q : adj.reverse(p)) {
         for (const std::uint32_t r : adj.forward(q)) consider(r);
       }
-
-      // Keep the row's surviving live entries (their distances are stored),
-      // rescore the candidate pool, take the k best of the union.
-      TopK best(k);
-      const std::uint64_t* slots = sets_.row(p);
-      for (std::size_t s = 0; s < k; ++s) {
-        const std::uint64_t v = slots[s];
-        if (Packed::is_empty(v) || !Packed::is_finite(v)) continue;
-        const std::uint32_t id = Packed::id(v);
-        if (id >= points_.rows() || id == p || tombstone_[id] != 0) continue;
-        if (seen[id] == 0) seen[id] = 1;
-        best.push(Packed::dist(v), id);
-      }
-      w.count_read(k * sizeof(std::uint64_t));
 
       const auto query = points_.row(p);
       for (std::size_t t0 = 0; t0 < cand.size(); t0 += kWarpSize) {

@@ -41,8 +41,9 @@ std::vector<Request> MicroBatcher::next_batch() {
     if (queue_.empty()) return {};  // closed and drained
 
     // A batch is open: flush when full, when the oldest request has waited
-    // its delay budget, or at close. wait_until re-checks because another
-    // executor may steal the queue while we sleep.
+    // its linger, or at close. With zero linger the deadline has already
+    // passed, so whatever is queued goes out at once. wait_until re-checks
+    // because another executor may steal the queue while we sleep.
     const auto flush_at = queue_.front().enqueued + max_delay_;
     ready_cv_.wait_until(lock, flush_at, [&] {
       return closed_ || queue_.size() >= max_batch_ || queue_.empty();

@@ -52,12 +52,16 @@ struct Request {
   std::promise<QueryResult> promise;
 };
 
-/// Bounded MPMC request queue plus the micro-batch policy: a batch flushes
-/// when it reaches `max_batch` requests or when the oldest queued request has
-/// waited `max_delay_us`, whichever comes first. Push never blocks — a full
-/// queue rejects (the caller sheds the request with a typed result), which
-/// bounds memory and queueing delay under overload. Multiple executor
-/// threads may call next_batch concurrently.
+/// Bounded MPMC request queue plus the micro-batch policy. Batch formation
+/// is work-conserving: an idle executor takes everything queued, up to
+/// `max_batch` requests in FIFO order, at once, so batches grow only from
+/// the backlog that builds while executors are busy. `max_delay_us > 0` is
+/// an opt-in linger that trades latency for batch size: a partial batch is
+/// held until it reaches `max_batch` or its oldest request has waited
+/// `max_delay_us`, whichever comes first. Push never blocks — a full queue
+/// rejects (the caller sheds the request with a typed result), which bounds
+/// memory and queueing delay under overload. Multiple executor threads may
+/// call next_batch concurrently.
 class MicroBatcher {
  public:
   MicroBatcher(std::size_t max_batch, std::uint64_t max_delay_us,
@@ -67,8 +71,9 @@ class MicroBatcher {
   /// capacity or the batcher is closed.
   bool push(Request&& r);
 
-  /// Blocks for the next micro-batch. An empty vector means the batcher was
-  /// closed and fully drained — the executor should exit.
+  /// Blocks until a request is queued, then returns the next micro-batch
+  /// (after the linger, when one is set). An empty vector means the batcher
+  /// was closed and fully drained — the executor should exit.
   std::vector<Request> next_batch();
 
   /// Stops admission and wakes every waiter; queued requests still drain

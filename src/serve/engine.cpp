@@ -369,12 +369,14 @@ void ServeEngine::run_batch(std::vector<Request> batch) {
     // A failed batch (e.g. an injected LaunchAllocError) answers every
     // request with a typed failure; the engine itself stays live.
     const auto now = Clock::now();
+    const double service_us = us_between(dispatched, now);
     for (Request& r : live) {
       QueryResult qr;
       qr.status = QueryStatus::kFailed;
       qr.snapshot_version = snap->version;
       qr.queue_us = us_between(r.enqueued, dispatched);
       metrics_.queue_us.record(qr.queue_us);
+      metrics_.service_us.record(service_us);
       qr.error = e.what();
       metrics_.failed.add();
       finish(r, std::move(qr), now, &ctx);
@@ -383,6 +385,7 @@ void ServeEngine::run_batch(std::vector<Request> batch) {
   }
 
   const auto done = Clock::now();
+  const double service_us = us_between(dispatched, done);
   metrics_.queries.add(live.size());
   if (optimized) metrics_.optimized_queries.add(live.size());
   for (std::size_t i = 0; i < live.size(); ++i) {
@@ -392,6 +395,7 @@ void ServeEngine::run_batch(std::vector<Request> batch) {
     qr.points_visited = result.visits[i];
     qr.queue_us = us_between(r.enqueued, dispatched);
     metrics_.queue_us.record(qr.queue_us);
+    metrics_.service_us.record(service_us);
     metrics_.points_visited.add(result.visits[i]);
     metrics_.visited.record(static_cast<double>(result.visits[i]));
     const auto row = result.results.row(i);

@@ -23,12 +23,15 @@
 
 namespace wknng::serve {
 
-/// Engine policy knobs. The defaults serve interactively (small batches,
-/// sub-millisecond flush); throughput-oriented callers raise max_batch and
-/// max_delay_us (bench/fig11_serving sweeps exactly this trade-off).
+/// Engine policy knobs. By default batch formation is work-conserving: an
+/// idle executor dispatches whatever is queued (up to max_batch) at once,
+/// and batches grow only from the backlog that builds while executors are
+/// busy. `max_delay_us > 0` is an opt-in linger that holds a partial batch
+/// for more arrivals, trading latency for batch size (bench/fig11_serving
+/// sweeps that trade-off).
 struct ServeOptions {
-  std::size_t max_batch = 32;          ///< flush threshold (queries per batch)
-  std::uint64_t max_delay_us = 200;    ///< flush timeout for a partial batch
+  std::size_t max_batch = 32;          ///< batch cap (queries per batch)
+  std::uint64_t max_delay_us = 0;      ///< partial-batch linger; 0 = none
   std::size_t workers = 2;             ///< batch executor threads
   std::size_t queue_capacity = 4096;   ///< pending requests before shedding
   std::uint64_t default_deadline_us = 0;  ///< per-request default; 0 = none
@@ -79,13 +82,15 @@ struct ServeOptions {
 ///
 /// Request path: `submit` assigns the request an id and a determinism tag,
 /// stamps its deadline, and enqueues it (or sheds, typed, when the queue is
-/// full). Executor threads form micro-batches (flush at `max_batch` or
-/// `max_delay_us`, whichever first), pin the current GraphSnapshot, and run
-/// the warp-per-query `core::search_batch` kernel over the snapshot's
-/// search target (GraphSnapshot::search_target: its layout if it carries
-/// one, its raw graph otherwise, plus its norm cache and SQ8 tier) on the
-/// shared ThreadPool — several batches in flight use the pool's multi-job
-/// scheduling, the substrate's analogue of concurrent kernels on one device.
+/// full). An idle executor thread takes everything queued, up to
+/// `max_batch`, as one micro-batch (with a `max_delay_us` linger it first
+/// waits for a full batch or the linger to expire), pins the current
+/// GraphSnapshot, and runs the warp-per-query `core::search_batch` kernel
+/// over the snapshot's search target (GraphSnapshot::search_target: its
+/// layout if it carries one, its raw graph otherwise, plus its norm cache
+/// and SQ8 tier) on the shared ThreadPool — several batches in flight use
+/// the pool's multi-job scheduling, the substrate's analogue of concurrent
+/// kernels on one device.
 ///
 /// Snapshots: `publish` atomically swaps the graph (std::shared_ptr store);
 /// in-flight batches finish on the snapshot they pinned, new batches see the

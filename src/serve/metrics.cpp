@@ -23,6 +23,7 @@ std::string ServeMetrics::to_json() const {
      << ",\"escalations\":" << escalations.value() << "}"
      << ",\"latency_us\":" << latency_us.to_json()
      << ",\"queue_us\":" << queue_us.to_json()
+     << ",\"service_us\":" << service_us.to_json()
      << ",\"batch_size\":" << batch_size.to_json()
      << ",\"visited\":" << visited.to_json() << "}";
   return os.str();
@@ -63,6 +64,8 @@ void register_metrics(obs::MetricsRegistry& reg, const ServeMetrics& m) {
                      "Enqueue to future-fulfilled latency (us)");
   reg.link_histogram("wknng_serve_queue_us", m.queue_us,
                      "Enqueue to batch-dispatch latency (us)");
+  reg.link_histogram("wknng_serve_service_us", m.service_us,
+                     "Batch dispatch to batch-done latency (us)");
   reg.link_histogram("wknng_serve_batch_size", m.batch_size,
                      "Dispatched batch sizes");
   reg.link_histogram("wknng_serve_visited", m.visited,

@@ -57,6 +57,9 @@ struct ServeMetrics {
   // Histograms.
   Histogram latency_us{latency_bounds_us()};   ///< enqueue → future fulfilled
   Histogram queue_us{latency_bounds_us()};     ///< enqueue → batch dispatch
+  /// Batch dispatch → batch done, one sample per executed request (failed
+  /// batches included), so queue_us + service_us ≈ latency_us per request.
+  Histogram service_us{latency_bounds_us()};
   Histogram batch_size{size_bounds(65536.0)};  ///< dispatched batch sizes
   Histogram visited{size_bounds(1e9)};         ///< per-request points visited
 

@@ -242,6 +242,34 @@ TEST(DynamicKnng, RepairClearsDirtyRowsAndKeepsInvariants) {
   fs::remove_all(dir);
 }
 
+TEST(DynamicKnng, RepairRefillsRowsWithDistinctNeighbors) {
+  ThreadPool pool(4);
+  const auto dir = testing::unique_test_dir("dyn_refill");
+  const FloatMatrix base = base_300();
+  const core::BuildParams bp = small_params();
+  DynamicKnng dyn(pool, bp, base, dir.string(), manual());
+
+  std::vector<std::uint32_t> victims;
+  for (std::uint32_t v = 0; v < 80; ++v) victims.push_back(v * 4);
+  dyn.erase(victims);
+  dyn.repair();
+
+  // A repaired row keeps its surviving entries and fills the freed slots
+  // with new candidates. Were an entry re-offered as a candidate, the row
+  // would hold it twice and extraction would leave the row short of k.
+  const auto snap = dyn.snapshot();
+  std::size_t live = 0;
+  std::size_t short_rows = 0;
+  for (std::size_t p = 0; p < snap->graph.num_points(); ++p) {
+    if ((*snap->tombstones)[p] != 0) continue;
+    ++live;
+    if (snap->graph.row_size(p) < bp.k) ++short_rows;
+  }
+  ASSERT_EQ(live, 225u);  // ids 300..316 do not exist: 75 erased
+  EXPECT_LE(short_rows, live / 20) << short_rows << " of " << live;
+  fs::remove_all(dir);
+}
+
 TEST(DynamicKnng, CompactionReclaimsSlotsWithStableExternalIds) {
   ThreadPool pool(4);
   const auto dir = testing::unique_test_dir("dyn_compact");

@@ -44,6 +44,27 @@ TEST(MicroBatcher, FlushesPartialBatchAfterDelay) {
   EXPECT_EQ(batch[1].id, 8u);
 }
 
+TEST(MicroBatcher, ZeroLingerDispatchesALoneRequestAtOnce) {
+  MicroBatcher b(32, /*max_delay_us=*/0, /*capacity=*/64);
+  EXPECT_TRUE(b.push(make_request(5)));
+  const std::vector<Request> batch = b.next_batch();
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].id, 5u);
+  EXPECT_EQ(b.depth(), 0u);
+}
+
+TEST(MicroBatcher, ZeroLingerStillCapsABacklogAtMaxBatchInFifoOrder) {
+  MicroBatcher b(32, /*max_delay_us=*/0, /*capacity=*/128);
+  for (std::uint64_t i = 0; i < 70; ++i) EXPECT_TRUE(b.push(make_request(i)));
+  std::uint64_t next_id = 0;
+  for (const std::size_t expect : {32u, 32u, 6u}) {
+    const std::vector<Request> batch = b.next_batch();
+    ASSERT_EQ(batch.size(), expect);
+    for (const Request& r : batch) EXPECT_EQ(r.id, next_id++);
+  }
+  EXPECT_EQ(b.depth(), 0u);
+}
+
 TEST(MicroBatcher, PushRejectsAtCapacityLeavingRequestIntact) {
   MicroBatcher b(8, 10'000'000, /*capacity=*/2);
   EXPECT_TRUE(b.push(make_request(0)));

@@ -97,10 +97,12 @@ TEST(ServeEngine, ServedResultsMatchDirectSearch) {
 
 TEST(ServeEngine, DeterministicAcrossWorkerCountsAndBatchSizes) {
   Fixture f;
-  auto run = [&](std::size_t workers, std::size_t max_batch) {
+  auto run = [&](std::size_t workers, std::size_t max_batch,
+                 std::uint64_t max_delay_us) {
     ServeOptions so = f.options();
     so.workers = workers;
     so.max_batch = max_batch;
+    so.max_delay_us = max_delay_us;
     ServeEngine engine(f.pool, so, make_snapshot(1, f.base, f.graph));
     std::vector<std::future<QueryResult>> futs;
     for (std::size_t qi = 0; qi < f.queries.rows(); ++qi) {
@@ -109,19 +111,26 @@ TEST(ServeEngine, DeterministicAcrossWorkerCountsAndBatchSizes) {
     std::vector<QueryResult> out;
     out.reserve(futs.size());
     for (auto& fut : futs) out.push_back(fut.get());
+    // One service sample per executed request, beside its queue sample.
+    EXPECT_EQ(engine.metrics().service_us.count(), f.queries.rows());
+    EXPECT_EQ(engine.metrics().queue_us.count(), f.queries.rows());
     return out;
   };
 
-  const std::vector<QueryResult> a = run(1, 32);
-  const std::vector<QueryResult> b = run(4, 3);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].status, QueryStatus::kOk);
-    EXPECT_EQ(b[i].status, QueryStatus::kOk);
-    EXPECT_EQ(a[i].points_visited, b[i].points_visited) << "query " << i;
-    ASSERT_EQ(a[i].neighbors.size(), b[i].neighbors.size());
-    for (std::size_t j = 0; j < a[i].neighbors.size(); ++j) {
-      EXPECT_EQ(a[i].neighbors[j], b[i].neighbors[j]);
+  // Worker count, batch cap, and work-conserving dispatch versus a 500 us
+  // linger each regroup the same tagged requests; the answers must not
+  // notice.
+  const std::vector<QueryResult> a = run(1, 32, 500);
+  for (const std::vector<QueryResult>& b : {run(4, 3, 500), run(1, 32, 0)}) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].status, QueryStatus::kOk);
+      EXPECT_EQ(b[i].status, QueryStatus::kOk);
+      EXPECT_EQ(a[i].points_visited, b[i].points_visited) << "query " << i;
+      ASSERT_EQ(a[i].neighbors.size(), b[i].neighbors.size());
+      for (std::size_t j = 0; j < a[i].neighbors.size(); ++j) {
+        EXPECT_EQ(a[i].neighbors[j], b[i].neighbors[j]);
+      }
     }
   }
 }

@@ -96,7 +96,8 @@ TEST(ServeMetricsJson, HasEverySection) {
   const std::string json = m.to_json();
   for (const char* key :
        {"\"counters\"", "\"enqueued\":3", "\"timed_out\":0", "\"shed\":0",
-        "\"latency_us\"", "\"queue_us\"", "\"batch_size\"", "\"visited\""}) {
+        "\"latency_us\"", "\"queue_us\"", "\"service_us\"",
+        "\"batch_size\"", "\"visited\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
 }
@@ -129,6 +130,16 @@ TEST(ServeMetricsPrometheus, ExportsBothRejectionSeries) {
   m.rejected_deadline.add();
   EXPECT_NE(reg.to_prometheus().find("wknng_serve_rejected_deadline_total 8"),
             std::string::npos);
+}
+
+TEST(ServeMetricsPrometheus, ExportsTheServiceStageHistogram) {
+  ServeMetrics m;
+  m.service_us.record(90.0);
+  obs::MetricsRegistry reg;
+  register_metrics(reg, m);
+  const std::string prom = reg.to_prometheus();
+  EXPECT_NE(prom.find("wknng_serve_service_us_count 1"), std::string::npos)
+      << prom;
 }
 
 }  // namespace
