@@ -1,13 +1,20 @@
 // Fig. 7 (extension) — incremental insertion versus full rebuild.
 //
 // The paper builds graphs in one batch; this extension experiment measures
-// the online mode (core/incremental.hpp): starting from a built graph over
-// (1 - f) of the points, insert the remaining fraction f by warp-centric
-// graph descent, and compare cost and inserted-point recall against
-// rebuilding from scratch.
+// the mutable index (dynamic/dynamic_knng.hpp): starting from a built graph
+// over (1 - f) of the points, insert the remaining fraction f as one batch
+// (graph descent, then reverse-edge connect — plus the WAL append and the
+// snapshot publication every insert pays), and compare cost and whole-graph
+// recall against rebuilding from scratch.
+
+#include <unistd.h>
+
+#include <filesystem>
+#include <memory>
+#include <string>
 
 #include "bench_common.hpp"
-#include "core/incremental.hpp"
+#include "dynamic/dynamic_knng.hpp"
 
 namespace wknng::bench {
 namespace {
@@ -40,15 +47,24 @@ void BM_InsertBatch(benchmark::State& state) {
   const std::size_t initial_n = kN - kN * pct / 100;
   const FloatMatrix initial = rows_slice(pts, 0, initial_n);
   const FloatMatrix batch = rows_slice(pts, initial_n, kN);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("wknng_fig7_" + std::to_string(::getpid()) + "_" + std::to_string(pct));
+  dynamic::DynamicParams dp;
+  dp.auto_maintain = false;  // the row times the insert alone
 
   double recall = 0.0;
   for (auto _ : state) {
     state.PauseTiming();  // the pre-build is not what this row measures
-    core::IncrementalKnng inc(pool(), base_params(), initial);
+    std::filesystem::remove_all(dir);
+    auto dyn = std::make_unique<dynamic::DynamicKnng>(
+        pool(), base_params(), initial, dir.string(), dp);
     state.ResumeTiming();
-    inc.add_batch(batch);
+    dyn->insert(batch);
     state.PauseTiming();
-    recall = sampled_recall(inc.graph(), kSpec, kK);
+    recall = sampled_recall(dyn->snapshot()->graph, kSpec, kK);
+    dyn.reset();
+    std::filesystem::remove_all(dir);
     state.ResumeTiming();
   }
   state.SetLabel("insert");

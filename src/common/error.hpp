@@ -78,9 +78,10 @@ class Sq8TrainError : public Error {
 };
 
 /// A mutation batch was rejected at admission by the mutable-index layer
-/// (core::IncrementalKnng, dynamic::DynamicKnng): empty batch, dimension
-/// mismatch, or an id that cannot be resolved. Rejected batches are never
-/// applied and never reach the write-ahead log.
+/// (dynamic::DynamicKnng): empty batch, dimension mismatch, a non-finite
+/// row (also in the base rows of a fresh index), or an id that cannot be
+/// resolved. Rejected batches are never applied and never reach the
+/// write-ahead log.
 class MutationError : public Error {
  public:
   using Error::Error;

@@ -219,23 +219,25 @@ class PhaseSpan {
 
 }  // namespace
 
-BuildResult KnngBuilder::build(const FloatMatrix& points) const {
-  return run(points, nullptr);
+BuildResult KnngBuilder::build(const FloatMatrix& points,
+                               KnnSetArray* sets) const {
+  return run(points, nullptr, sets);
 }
 
 BuildResult KnngBuilder::resume(const FloatMatrix& points,
                                 const std::string& checkpoint_path) const {
   const data::BuildCheckpoint ckpt = data::read_checkpoint(checkpoint_path);
-  return run(points, &ckpt);
+  return run(points, &ckpt, nullptr);
 }
 
 BuildResult KnngBuilder::resume(const FloatMatrix& points,
                                 const data::BuildCheckpoint& checkpoint) const {
-  return run(points, &checkpoint);
+  return run(points, &checkpoint, nullptr);
 }
 
 BuildResult KnngBuilder::run(const FloatMatrix& points,
-                             const data::BuildCheckpoint* ckpt) const {
+                             const data::BuildCheckpoint* ckpt,
+                             KnnSetArray* out_sets) const {
   const std::size_t n = points.rows();
   WKNNG_CHECK_MSG(n > params_.k,
                   "need more points than k: n=" << n << " k=" << params_.k);
@@ -371,7 +373,15 @@ BuildResult KnngBuilder::run(const FloatMatrix& points,
   // pair, then restore the k-NN set state and skip the phases it embodies.
   Strategy effective = params_.strategy;
   std::size_t start_round = 0;
-  KnnSetArray sets(n, k_build);
+  std::optional<KnnSetArray> own_sets;
+  if (out_sets != nullptr) {
+    WKNNG_CHECK_MSG(out_sets->num_points() == n && out_sets->k() == k_build,
+                    "caller k-NN sets are " << out_sets->num_points() << "x"
+                        << out_sets->k() << ", build needs " << n << "x"
+                        << k_build);
+  }
+  KnnSetArray& sets =
+      out_sets != nullptr ? *out_sets : own_sets.emplace(n, k_build);
   if (ckpt != nullptr) {
     if (ckpt->signature != signature || ckpt->n != n ||
         ckpt->k != k_build) {
@@ -602,6 +612,7 @@ BuildResult KnngBuilder::run(const FloatMatrix& points,
       result.health.degraded || !quarantined.empty() ||
       result.health.buckets_failed > 0 ||
       result.health.refine_points_skipped > 0 || result.health.deadline_hit;
+  result.effective_strategy = effective;
   result.total_seconds = total.elapsed_s();
   result.stats = acc.total();
 

@@ -19,6 +19,8 @@ class MetricsRegistry;
 
 namespace wknng::core {
 
+class KnnSetArray;
+
 /// What the build had to survive: the recovery ledger of one build. A build
 /// is `degraded` when its output may differ from the ideal run — points were
 /// quarantined or skipped, a strategy fallback happened, buckets failed for
@@ -62,6 +64,11 @@ struct BuildResult {
   simt::Stats stats;             ///< aggregated over every launch
   std::size_t num_buckets = 0;   ///< forest leaves processed
 
+  /// The strategy the leaf and refine phases ran: BuildParams::strategy
+  /// unless the kShared preflight fell back to kTiled (or a resumed
+  /// checkpoint was built with another strategy).
+  Strategy effective_strategy = Strategy::kTiled;
+
   /// Conflicts flagged by the race detector; always 0 unless
   /// BuildParams::check_races (or WKNNG_CHECK_RACES) enabled detection.
   std::size_t races_detected = 0;
@@ -94,7 +101,13 @@ class KnngBuilder {
 
   /// Builds the graph for `points` (rows = points). Thread-compatible: one
   /// build at a time per builder, but distinct builders are independent.
-  BuildResult build(const FloatMatrix& points) const;
+  ///
+  /// With `sets`, the build runs in the caller's k-NN set array — a fresh
+  /// points.rows() x k array (k widened to the rerank depth under sq8) —
+  /// and leaves it holding the refined sets, for callers that keep mutating
+  /// them (dynamic::DynamicKnng). Without it the sets are build-local.
+  BuildResult build(const FloatMatrix& points,
+                    KnnSetArray* sets = nullptr) const;
 
   /// Resumes a build from a checkpoint written by a previous run with the
   /// same parameters and points (verified via build_signature — throws
@@ -109,7 +122,8 @@ class KnngBuilder {
 
  private:
   BuildResult run(const FloatMatrix& points,
-                  const data::BuildCheckpoint* checkpoint) const;
+                  const data::BuildCheckpoint* checkpoint,
+                  KnnSetArray* out_sets) const;
 
   ThreadPool* pool_;
   BuildParams params_;
@@ -124,7 +138,7 @@ BuildResult build_knng(ThreadPool& pool, const FloatMatrix& points,
 /// for export via the registry's Prometheus/JSON formats.
 void register_build_metrics(obs::MetricsRegistry& reg, const BuildResult& r);
 
-// --- Input quarantine (shared with the incremental / dynamic layers) -------
+// --- Input quarantine (shared with the dynamic layer) ---------------------
 
 /// Finds the input rows containing a non-finite coordinate. Returns their
 /// ids, sorted ascending (parallel scan with a deterministic gather).

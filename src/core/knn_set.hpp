@@ -103,7 +103,7 @@ class KnnSetArray {
 
   /// Grows the array to `new_n` points (existing sets preserved, new sets
   /// empty). Host-side only — must not race with running kernels. Used by
-  /// the incremental builder when a batch of points arrives.
+  /// the dynamic index when a batch of rows is inserted.
   void grow(std::size_t new_n);
 
   /// Shrinks the array to `new_n` points, keeping rows [0, new_n). Host-side

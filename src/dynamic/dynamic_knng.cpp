@@ -10,10 +10,7 @@
 #include "common/error.hpp"
 #include "common/topk.hpp"
 #include "core/builder.hpp"
-#include "core/incremental.hpp"
-#include "core/leaf_knn.hpp"
 #include "core/refine.hpp"
-#include "core/rp_forest.hpp"
 #include "data/graph_io.hpp"
 #include "obs/trace.hpp"
 #include "opt/optimize.hpp"
@@ -39,6 +36,32 @@ FloatMatrix append_rows(const FloatMatrix& base, const FloatMatrix& extra) {
   std::memcpy(out.data() + base.size(), extra.data(),
               extra.size() * sizeof(float));
   return out;
+}
+
+/// Typed admission of new rows (a fresh index's base or an insert batch):
+/// a non-finite row is rejected, never quarantined — it would sit live in
+/// the index with an empty graph row.
+void reject_nonfinite(ThreadPool& pool, const FloatMatrix& rows,
+                      const char* what) {
+  const std::vector<std::uint32_t> bad = core::scan_nonfinite_rows(pool, rows);
+  if (bad.empty()) return;
+  std::ostringstream os;
+  os << what << ": non-finite values in row " << bad.front() << " ("
+     << bad.size() << " bad row" << (bad.size() == 1 ? "" : "s")
+     << "); the dynamic index rejects rather than quarantines";
+  throw MutationError(os.str());
+}
+
+/// The connect half of search-then-connect insertion: adopts `found` (the
+/// descent's k best, sorted) as `id`'s forward neighbors and pushes the
+/// reverse edge into each neighbor's set through the strategy's concurrent
+/// machinery.
+void connect_point(Warp& w, core::KnnSetArray& sets, core::Strategy strategy,
+                   std::uint32_t id, std::span<const Neighbor> found) {
+  for (const Neighbor& nb : found) {
+    sets.insert(w, strategy, id, Packed::make(nb.dist, nb.id));
+    sets.insert(w, strategy, nb.id, Packed::make(nb.dist, id));
+  }
 }
 
 const char* op_name(data::WalRecord::Type t) {
@@ -78,30 +101,25 @@ DynamicKnng::DynamicKnng(ThreadPool& pool, const core::BuildParams& params,
                   "dynamic index does not support the compressed tier");
   WKNNG_CHECK_MSG(points_.rows() > params_.k,
                   "need more base points than k");
+  reject_nonfinite(*pool_, points_, "base");
   std::filesystem::create_directories(dir_);
   signature_ = core::build_signature(params_, points_.rows(), dim_);
 
-  // Base build: the standard w-KNNG pipeline feeding our own set array
-  // (mirrors IncrementalKnng so the base state is the familiar one).
-  const core::Buckets forest =
-      core::build_rp_forest(*pool_, points_, params_.num_trees,
-                            params_.leaf_size, params_.seed, &acc_,
-                            params_.spill);
-  core::leaf_knn(*pool_, points_, forest, params_.strategy, sets_, &acc_,
-                 params_.scratch_bytes);
-  for (std::size_t round = 0; round < params_.refine_iters; ++round) {
-    const core::Adjacency adj =
-        core::snapshot_adjacency(*pool_, sets_, params_.reverse_cap);
-    core::refine_round(*pool_, points_, adj, params_, sets_, &acc_);
-  }
+  // Base build: the w-KNNG pipeline, run in our own set array.
+  core::BuildResult built =
+      core::KnngBuilder(*pool_, params_).build(points_, &sets_);
+  acc_.flush(built.stats);
+  WKNNG_CHECK_MSG(built.races_detected == 0,
+                  "race detector flagged " << built.races_detected
+                      << " conflicts in the base build");
 
   // Anchor: the WKNNGCP1 image replay restarts from.
   data::BuildCheckpoint ck;
   ck.signature = signature_;
   ck.n = points_.rows();
   ck.k = params_.k;
-  ck.rounds_done = static_cast<std::uint32_t>(params_.refine_iters);
-  ck.effective_strategy = static_cast<std::uint32_t>(params_.strategy);
+  ck.rounds_done = static_cast<std::uint32_t>(built.health.rounds_completed);
+  ck.effective_strategy = static_cast<std::uint32_t>(built.effective_strategy);
   ck.sets.assign(sets_.words().begin(), sets_.words().end());
   data::write_checkpoint(base_checkpoint_path(dir_), ck);
 
@@ -117,7 +135,7 @@ DynamicKnng::DynamicKnng(ThreadPool& pool, const core::BuildParams& params,
   tombstone_.assign(n0, 0);
   dirty_mark_.assign(n0, 0);
   version_ = 1;
-  graph_ = sets_.extract(*pool_);
+  graph_ = std::move(built.graph);
 
   wal_ = std::make_unique<data::WalWriter>(dir_, signature_, 1, version_,
                                            dyn_.wal_segment_bytes);
@@ -214,14 +232,7 @@ std::vector<std::uint32_t> DynamicKnng::insert(const FloatMatrix& rows) {
     os << "insert: batch dim " << rows.cols() << " != index dim " << dim_;
     throw MutationError(os.str());
   }
-  const std::vector<std::uint32_t> bad = core::scan_nonfinite_rows(*pool_, rows);
-  if (!bad.empty()) {
-    std::ostringstream os;
-    os << "insert: non-finite values in batch row " << bad.front() << " ("
-       << bad.size() << " bad row" << (bad.size() == 1 ? "" : "s")
-       << "); the dynamic index rejects rather than quarantines";
-    throw MutationError(os.str());
-  }
+  reject_nonfinite(*pool_, rows, "insert");
 
   std::lock_guard<std::mutex> lock(mu_);
   obs::Span span = op_span(data::WalRecord::Type::kInsert, version_ + 1);
@@ -333,8 +344,8 @@ void DynamicKnng::apply_insert(const FloatMatrix& rows,
       tombstone_);
 
   // Phase 2: grow storage, then connect — forward edges into the new rows,
-  // reverse edges into the found neighbors, through the same strategy-
-  // dispatched edge discipline the incremental builder uses.
+  // reverse edges into the found neighbors, through the strategy-dispatched
+  // k-NN set updates the build kernels use.
   points_ = append_rows(points_, rows);
   sets_.grow(points_.rows());
   tombstone_.resize(points_.rows(), 0);
@@ -355,7 +366,7 @@ void DynamicKnng::apply_insert(const FloatMatrix& rows,
     const auto id = static_cast<std::uint32_t>(old_n + w.id());
     const auto row = found.results.row(w.id());
     const std::size_t cnt = found.results.row_size(w.id());
-    core::connect_point(w, sets_, strategy, id, row.subspan(0, cnt));
+    connect_point(w, sets_, strategy, id, row.subspan(0, cnt));
   });
 
   // Dirty marking happens host-side after the launch so the dirty list's

@@ -79,8 +79,9 @@ struct DynamicState {
 };
 
 /// The mutable K-NNG: owns the full dynamic lifecycle on top of the static
-/// substrate — online inserts (search-then-connect through the shared
-/// core::connect_point edge discipline), tombstone deletes (invisible to
+/// substrate — online inserts (search-then-connect: a graph descent finds
+/// the new row's neighbors, then strategy-dispatched k-NN set updates add
+/// the forward and reverse edges), tombstone deletes (invisible to
 /// results immediately via the search kernel's exclusion mask, excluded from
 /// candidate expansion lazily by repair/compaction), bounded dirty-region
 /// NN-Descent repair, threshold-triggered compaction with a stable
@@ -101,10 +102,12 @@ struct DynamicState {
 class DynamicKnng {
  public:
   /// Fresh index: builds the base graph over `base_points` with `params`
-  /// (the IncrementalKnng pipeline: RP forest -> leaf pass -> refine rounds),
-  /// writes the WKNNGCP1 base checkpoint to `<dir>/base.ckpt`, opens WAL
-  /// segment 1, and publishes version 1. `dir` must be writable; the
-  /// compression tier is not supported (`params.compression` must be kNone).
+  /// through core::KnngBuilder (RP forest -> leaf pass -> refine rounds,
+  /// run in the index's own k-NN sets), writes the WKNNGCP1 base checkpoint
+  /// to `<dir>/base.ckpt`, opens WAL segment 1, and publishes version 1.
+  /// `dir` must be writable; the compression tier is not supported
+  /// (`params.compression` must be kNone). A non-finite base row throws
+  /// wknng::MutationError before anything is built or written.
   DynamicKnng(ThreadPool& pool, const core::BuildParams& params,
               FloatMatrix base_points, std::string dir,
               DynamicParams dyn = DynamicParams{});

@@ -16,7 +16,7 @@ IvfSq8Index IvfSq8Index::build(ThreadPool& pool, const FloatMatrix& points,
   IvfSq8Index index;
   index.flat_ = IvfFlatIndex::build(pool, points, params, cost);
   Timer timer;
-  index.quantized_ = sq8_encode(points);
+  index.quantized_ = kernels::sq8_encode(points);
   if (cost != nullptr) cost->train_seconds += timer.elapsed_s();
   return index;
 }
@@ -53,7 +53,9 @@ KnnGraph IvfSq8Index::search(ThreadPool& pool, const FloatMatrix& points,
     for (const Neighbor& probe : coarse.take_sorted()) {
       for (std::uint32_t id : flat_.list(probe.id)) {
         if (id == skip) continue;
-        heap.push(sq8_l2_sq(q, quantized_.row(id), quantized_.codebook), id);
+        heap.push(kernels::sq8_l2_sq_ref(q, quantized_.row(id),
+                                         quantized_.codebook),
+                  id);
         ++local_evals;
       }
     }

@@ -1,7 +1,7 @@
 #pragma once
 
 #include "ivf/ivf_flat.hpp"
-#include "ivf/sq8.hpp"
+#include "kernels/sq8.hpp"
 
 namespace wknng::ivf {
 
@@ -17,7 +17,7 @@ class IvfSq8Index {
                            const IvfParams& params, IvfCost* cost = nullptr);
 
   std::size_t nlist() const { return flat_.nlist(); }
-  const Sq8Matrix& quantized() const { return quantized_; }
+  const kernels::Sq8Matrix& quantized() const { return quantized_; }
 
   /// Memory held by the vector payload (codes), for the memory column of
   /// the quantization experiment.
@@ -42,7 +42,7 @@ class IvfSq8Index {
 
  private:
   IvfFlatIndex flat_;     ///< coarse quantizer + inverted lists (reused)
-  Sq8Matrix quantized_;
+  kernels::Sq8Matrix quantized_;
 };
 
 }  // namespace wknng::ivf

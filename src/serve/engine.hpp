@@ -94,7 +94,7 @@ struct ServeOptions {
 ///
 /// Snapshots: `publish` atomically swaps the graph (std::shared_ptr store);
 /// in-flight batches finish on the snapshot they pinned, new batches see the
-/// new one. `core::IncrementalKnng` can therefore insert and publish while
+/// new one. `dynamic::DynamicKnng` can therefore insert and publish while
 /// the engine serves (tests/serve/test_snapshot_swap.cpp).
 ///
 /// Deadlines: a request whose deadline passes before dispatch is answered

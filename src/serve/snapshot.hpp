@@ -21,7 +21,7 @@ class ThreadPool;
 namespace wknng::serve {
 
 /// One immutable (base points, K-NN graph) pair served to queries. Builders
-/// (core::build_knng, core::IncrementalKnng) construct a snapshot off to the
+/// (core::build_knng, dynamic::DynamicKnng) construct a snapshot off to the
 /// side and publish it whole; the serving path never sees a half-updated
 /// graph. `version` is the publisher's monotonic label — responses carry it
 /// so a client (or a test) can say exactly which graph answered them.
@@ -137,7 +137,7 @@ struct GraphSnapshot {
 };
 
 /// The single-slot atomic publication point between one writer (the build /
-/// incremental-insert side) and many readers (batch executors). Readers pin
+/// dynamic-index side) and many readers (batch executors). Readers pin
 /// the current snapshot with a shared_ptr copy; a publish is one atomic
 /// store, after which new batches run on the new graph while in-flight
 /// batches finish on the old one — it stays alive until its last reader

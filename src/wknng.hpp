@@ -14,7 +14,7 @@
 ///   simt/       the warp-execution substrate the kernels run on
 ///   data/       synthetic sets, .fvecs/.ivecs and graph I/O, transforms
 ///   exact/      brute force + recall (ground truth)
-///   core/       the w-KNNG builder, strategies, metrics, incremental mode
+///   core/       the w-KNNG builder, strategies, metrics, graph search
 ///   ivf/        IVF-Flat baseline (FAISS surrogate)
 ///   nndescent/  NN-Descent baseline
 ///   obs/        span tracing, metrics registry, Prometheus/JSON exporters
@@ -32,7 +32,6 @@
 #include "core/graph_metrics.hpp"
 #include "core/graph_ops.hpp"
 #include "core/graph_search.hpp"
-#include "core/incremental.hpp"
 #include "core/params.hpp"
 #include "core/warp_brute_force.hpp"
 #include "data/graph_io.hpp"

@@ -122,6 +122,13 @@ TEST(Builder, RejectsTooFewPoints) {
   EXPECT_THROW(build_knng(pool, pts, params), Error);
 }
 
+TEST(Builder, RecommendedStrategyFollowsDimensions) {
+  EXPECT_EQ(recommended_strategy(4), Strategy::kAtomic);
+  EXPECT_EQ(recommended_strategy(16), Strategy::kAtomic);
+  EXPECT_EQ(recommended_strategy(64), Strategy::kTiled);
+  EXPECT_EQ(recommended_strategy(960), Strategy::kTiled);
+}
+
 TEST(Builder, StrategyNamesRoundTrip) {
   for (Strategy s : {Strategy::kBasic, Strategy::kAtomic, Strategy::kTiled,
                      Strategy::kShared}) {

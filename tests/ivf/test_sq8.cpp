@@ -1,5 +1,4 @@
 #include "ivf/ivf_sq8.hpp"
-#include "ivf/sq8.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,14 +8,15 @@
 #include "data/synthetic.hpp"
 #include "exact/brute_force.hpp"
 #include "exact/recall.hpp"
+#include "kernels/sq8.hpp"
 
 namespace wknng::ivf {
 namespace {
 
 TEST(Sq8, ReconstructionErrorBoundedByHalfStep) {
   const FloatMatrix pts = data::make_uniform(200, 10, 3);
-  const Sq8Matrix q = sq8_encode(pts);
-  const FloatMatrix rec = sq8_decode(q);
+  const kernels::Sq8Matrix q = kernels::sq8_encode(pts);
+  const FloatMatrix rec = kernels::sq8_decode(q);
   for (std::size_t i = 0; i < pts.rows(); ++i) {
     for (std::size_t d = 0; d < pts.cols(); ++d) {
       EXPECT_LE(std::abs(rec(i, d) - pts(i, d)),
@@ -28,7 +28,7 @@ TEST(Sq8, ReconstructionErrorBoundedByHalfStep) {
 
 TEST(Sq8, CodesUseTheFullRange) {
   const FloatMatrix pts = data::make_uniform(500, 4, 5);
-  const Sq8Matrix q = sq8_encode(pts);
+  const kernels::Sq8Matrix q = kernels::sq8_encode(pts);
   for (std::size_t d = 0; d < 4; ++d) {
     std::uint8_t lo = 255, hi = 0;
     for (std::size_t i = 0; i < q.rows(); ++i) {
@@ -47,7 +47,7 @@ TEST(Sq8, ConstantDimensionRoundTripsExactly) {
     pts(i, 1) = static_cast<float>(i);
     pts(i, 2) = -1.0f * static_cast<float>(i);
   }
-  const FloatMatrix rec = sq8_decode(sq8_encode(pts));
+  const FloatMatrix rec = kernels::sq8_decode(kernels::sq8_encode(pts));
   for (std::size_t i = 0; i < 50; ++i) {
     EXPECT_FLOAT_EQ(rec(i, 0), 7.25f);
   }
@@ -55,10 +55,11 @@ TEST(Sq8, ConstantDimensionRoundTripsExactly) {
 
 TEST(Sq8, AsymmetricDistanceMatchesDecodedDistance) {
   const FloatMatrix pts = data::make_uniform(60, 8, 7);
-  const Sq8Matrix q = sq8_encode(pts);
-  const FloatMatrix rec = sq8_decode(q);
+  const kernels::Sq8Matrix q = kernels::sq8_encode(pts);
+  const FloatMatrix rec = kernels::sq8_decode(q);
   for (std::size_t i = 0; i < 10; ++i) {
-    const float asym = sq8_l2_sq(pts.row(i), q.row(i + 20), q.codebook);
+    const float asym =
+        kernels::sq8_l2_sq_ref(pts.row(i), q.row(i + 20), q.codebook);
     const float decoded = exact::l2_sq(pts.row(i), rec.row(i + 20));
     EXPECT_NEAR(asym, decoded, 1e-3f * (decoded + 1.0f));
   }
@@ -66,7 +67,7 @@ TEST(Sq8, AsymmetricDistanceMatchesDecodedDistance) {
 
 TEST(Sq8, EncodeRejectsEmptyInput) {
   FloatMatrix empty;
-  EXPECT_THROW(sq8_encode(empty), Error);
+  EXPECT_THROW(kernels::sq8_encode(empty), Error);
 }
 
 TEST(IvfSq8, QuartersTheVectorMemory) {

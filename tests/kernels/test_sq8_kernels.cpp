@@ -18,7 +18,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "data/graph_io.hpp"
-#include "ivf/sq8.hpp"
 #include "kernels/kernels.hpp"
 
 namespace wknng::kernels {
@@ -82,8 +81,8 @@ TEST(Sq8Differential, AllBackendsMatchReference) {
   }
 }
 
-// The scalar backend is the strict reference: bit-identical to the
-// pre-dispatch ivf::sq8_l2_sq accumulation, on every shape.
+// The scalar backend is the strict reference: bit-identical to the serial
+// sq8_l2_sq_ref accumulation (the pre-dispatch IVF scan's), on every shape.
 TEST(Sq8Differential, ScalarBitIdenticalToIvfReference) {
   for (const std::size_t dim : kDims) {
     const FloatMatrix pts = random_rows(16, dim, 0xABC0 + dim);
@@ -94,8 +93,8 @@ TEST(Sq8Differential, ScalarBitIdenticalToIvfReference) {
     for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
       const Sq8Query q = sq8_prepare(queries.row(qi), m.codebook, w);
       for (std::size_t i = 0; i < m.rows(); ++i) {
-        const float want = ivf::sq8_l2_sq(queries.row(qi), m.row(i),
-                                          m.codebook);
+        const float want =
+            kernels::sq8_l2_sq_ref(queries.row(qi), m.row(i), m.codebook);
         EXPECT_EQ(k->sq8_l2_one(q, m.row(i).data()), want)
             << "dim=" << dim << " q=" << qi << " row=" << i;
       }

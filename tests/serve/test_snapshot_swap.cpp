@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -11,14 +12,15 @@
 #include "common/rng.hpp"
 #include "core/builder.hpp"
 #include "core/graph_search.hpp"
-#include "core/incremental.hpp"
 #include "data/synthetic.hpp"
+#include "dynamic/dynamic_knng.hpp"
 #include "serve/engine.hpp"
+#include "support/temp_dir.hpp"
 
 namespace wknng::serve {
 namespace {
 
-// The serving/update consistency contract: queries race with incremental
+// The serving/update consistency contract: queries race with dynamic-index
 // inserts, and every response must be explainable by *some* published
 // snapshot — the one whose version it carries. No response may observe a
 // half-updated graph (ids past its snapshot's point count) or differ from
@@ -43,14 +45,17 @@ TEST(SnapshotSwap, ConcurrentQueriesAreConsistentWithSomePublishedSnapshot) {
   bp.k = 8;
   bp.num_trees = 4;
   bp.refine_iters = 1;
-  core::IncrementalKnng inc(pool, bp, initial);
+  dynamic::DynamicParams dp;
+  dp.auto_maintain = false;  // one insert = one version
+  const auto dir = wknng::testing::unique_test_dir("snapshot_swap");
+  dynamic::DynamicKnng dyn(pool, bp, initial, dir.string(), dp);
 
   std::mutex archive_mutex;
   std::map<std::uint64_t, std::shared_ptr<const GraphSnapshot>> archive;
-  auto archive_and_get = [&](std::uint64_t version) {
-    auto snap = make_snapshot(version, inc.points(), inc.graph());
+  auto archive_current = [&] {
+    auto snap = dyn.snapshot();
     std::lock_guard<std::mutex> lock(archive_mutex);
-    archive[version] = snap;
+    archive[snap->version] = snap;
     return snap;
   };
 
@@ -59,7 +64,7 @@ TEST(SnapshotSwap, ConcurrentQueriesAreConsistentWithSomePublishedSnapshot) {
   so.max_delay_us = 500;
   so.workers = 2;
   so.search.k = 5;
-  ServeEngine engine(pool, so, archive_and_get(1));
+  ServeEngine engine(pool, so, archive_current());
 
   // Publisher: five insert rounds, each appending 50 points and publishing
   // the grown graph. Archiving happens before publishing, so by the time a
@@ -82,8 +87,8 @@ TEST(SnapshotSwap, ConcurrentQueriesAreConsistentWithSomePublishedSnapshot) {
           dst[d] = src[d] + 0.05f * prng.next_gaussian();
         }
       }
-      inc.add_batch(batch);
-      engine.publish(archive_and_get(2 + round));
+      dyn.insert(batch);
+      engine.publish(archive_current());
       const std::uint64_t target = completed.load() + 4;
       while (completed.load() < target) std::this_thread::yield();
     }
@@ -159,6 +164,7 @@ TEST(SnapshotSwap, ConcurrentQueriesAreConsistentWithSomePublishedSnapshot) {
   }
   // The race was real: at least one response came from a published update.
   EXPECT_GT(from_later_snapshots, 0u);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
