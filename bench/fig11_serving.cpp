@@ -1,10 +1,11 @@
 // Fig. 11 (extension) — serving the built graph: the ServeEngine's two
 // operating curves.
 //
-// ThroughputVsBatch: closed-loop load against a sweep of micro-batch sizes.
-// Larger batches amortize launch overhead (throughput rises) but queue
-// requests longer (tail latency rises) — the classic serving trade-off the
-// engine's max_batch/max_delay knobs navigate.
+// ThroughputVsBatch: closed-loop load against a sweep of micro-batch caps.
+// Dispatch is work-conserving, so batches form only from the backlog the 16
+// submitters build while both executors are busy; the cap bounds how much of
+// that backlog one batch takes — amortizing launch overhead against the
+// queueing a large batch imposes on its last member.
 //
 // P99VsOfferedLoad: open-loop Poisson arrivals at increasing offered rates
 // with a per-request deadline. Below saturation the p99 tracks service time;
@@ -56,7 +57,6 @@ ServingFixture& fixture() {
 serve::ServeOptions engine_options(std::size_t max_batch) {
   serve::ServeOptions so;
   so.max_batch = max_batch;
-  so.max_delay_us = 500;
   so.workers = 2;
   so.search.k = kK;
   return so;

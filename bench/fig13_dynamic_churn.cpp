@@ -100,7 +100,6 @@ void BM_ChurnServing(benchmark::State& state) {
 
     serve::ServeOptions so;
     so.max_batch = 16;
-    so.max_delay_us = 500;
     so.workers = 2;
     so.search.k = kK;
     serve::ServeEngine engine(pool(), so, dyn.snapshot());

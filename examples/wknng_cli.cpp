@@ -107,14 +107,13 @@
 //   --serve-rate QPS     open-loop offered load (default 10000)
 //   --serve-concurrency N closed-loop submitter threads (default 4)
 //   --serve-batch N      engine micro-batch size cap (default 32)
-//   --serve-delay-us N   engine partial-batch linger; 0 = dispatch what is
-//                        queued at once (default 0)
 //   --serve-deadline-us N per-request deadline, 0 = none (default 0)
 //   --serve-workers N    engine batch-executor threads (default 2)
 //   --serve-metrics PATH write the engine's metrics JSON here
 //   --optimize-serve     run queries over the optimized serving layout
 //                        (occlusion-pruned, cache-blocked CSR relayout,
-//                        src/opt); with --dynamic-dir the layout follows the
+//                        src/opt), attached to the snapshot before serving;
+//                        with --dynamic-dir the layout follows the
 //                        published version (rebuilt or reused per the
 //                        staleness policy). --out then writes the layout as
 //                        a WKNNGOP1 trailer on the graph file
@@ -162,6 +161,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -230,7 +230,6 @@ struct Options {
   double serve_rate = 10000.0;         // open-loop offered qps
   std::size_t serve_concurrency = 4;   // closed-loop submitter threads
   std::size_t serve_batch = 32;        // engine max_batch
-  std::uint64_t serve_delay_us = 0;    // engine partial-batch linger
   std::uint64_t serve_deadline_us = 0; // per-request deadline (0 = none)
   std::size_t serve_workers = 2;       // engine executor threads
   std::string serve_metrics;           // metrics JSON output path
@@ -266,7 +265,7 @@ int usage(const char* argv0) {
                " [--serve-mutate F] [--serve-delete-frac F]"
                " [--serve] [--serve-requests N] [--serve-mode closed|open]"
                " [--serve-rate QPS] [--serve-concurrency N] [--serve-batch N]"
-               " [--serve-delay-us N] [--serve-deadline-us N]"
+               " [--serve-deadline-us N]"
                " [--serve-workers N] [--serve-metrics PATH]"
                " [--optimize-serve] [--patience N] [--visit-budget N|auto]"
                " [--slo D:R] [--audit-fraction F] [--flight-log PATH]"
@@ -338,7 +337,6 @@ std::optional<Options> parse(int argc, char** argv) {
     else if (flag == "--serve-rate") opt.serve_rate = std::strtod(value(), nullptr);
     else if (flag == "--serve-concurrency") opt.serve_concurrency = std::strtoull(value(), nullptr, 10);
     else if (flag == "--serve-batch") opt.serve_batch = std::strtoull(value(), nullptr, 10);
-    else if (flag == "--serve-delay-us") opt.serve_delay_us = std::strtoull(value(), nullptr, 10);
     else if (flag == "--serve-deadline-us") opt.serve_deadline_us = std::strtoull(value(), nullptr, 10);
     else if (flag == "--serve-workers") opt.serve_workers = std::strtoull(value(), nullptr, 10);
     else if (flag == "--serve-metrics") opt.serve_metrics = value();
@@ -507,19 +505,159 @@ void write_slo_report(const std::string& path,
   std::printf("wrote %s\n", path.c_str());
 }
 
+/// Writes each row's first `k` neighbor ids as .ivecs (-1 for empty slots).
+void write_ids(const std::string& path, const KnnGraph& graph, std::size_t k) {
+  Matrix<std::int32_t> ids(graph.num_points(), k);
+  for (std::size_t i = 0; i < graph.num_points(); ++i) {
+    auto row = graph.row(i);
+    for (std::size_t s = 0; s < k; ++s) {
+      ids(i, s) = row[s].id == KnnGraph::kInvalid
+                      ? -1
+                      : static_cast<std::int32_t>(row[s].id);
+    }
+  }
+  data::write_ivecs(path, ids);
+  std::printf("wrote %s\n", path.c_str());
+}
+
+/// --out: the graph, plus the serving layout as a WKNNGOP1 trailer when the
+/// served snapshot carries one. Plain read_knng still sees just the graph,
+/// so the CI replay md5 (which never passes --optimize-serve) is unaffected.
+void write_graph(const std::string& path, const KnnGraph& graph,
+                 const opt::ServingGraph* layout) {
+  if (layout != nullptr) {
+    data::write_knng_serving(path, graph, *layout);
+  } else {
+    data::write_knng(path, graph);
+  }
+  std::printf("wrote %s\n", path.c_str());
+}
+
+/// Query vectors: the --queries file, or perturbed base points (the
+/// standard held-out proxy) when none is given.
+FloatMatrix load_queries(const Options& opt, const FloatMatrix& points) {
+  if (!opt.queries.empty()) {
+    FloatMatrix queries = data::read_fvecs(opt.queries);
+    WKNNG_CHECK_MSG(queries.cols() == points.cols(),
+                    "query dim " << queries.cols() << " != base dim "
+                                 << points.cols());
+    return queries;
+  }
+  const std::size_t nq = std::min<std::size_t>(256, points.rows());
+  FloatMatrix queries(nq, points.cols());
+  Rng rng(opt.seed ^ 0x5E27EULL);
+  for (std::size_t qi = 0; qi < nq; ++qi) {
+    const auto src = points.row(rng.next_below(points.rows()));
+    auto dst = queries.row(qi);
+    for (std::size_t d = 0; d < points.cols(); ++d) {
+      dst[d] = src[d] + 0.02f * rng.next_gaussian();
+    }
+  }
+  return queries;
+}
+
+/// --metrics-out: build info, the run's own series (`add_series`: build or
+/// dynamic-index metrics), and the serve series when an engine ran. Called
+/// inside the engine's lifetime so the linked live instruments render.
+void export_registry(
+    const Options& opt,
+    const std::function<void(obs::MetricsRegistry&)>& add_series,
+    const serve::ServeEngine* engine) {
+  if (opt.metrics_out.empty()) return;
+  obs::MetricsRegistry reg;
+  obs::register_build_info(reg, obs::build_info());
+  add_series(reg);
+  if (engine != nullptr) {
+    serve::register_metrics(reg, engine->metrics());
+    if (engine->slo_tracker() != nullptr) {
+      obs::register_slo_metrics(reg, *engine->slo_tracker());
+    }
+    if (engine->auditor() != nullptr) {
+      obs::register_audit_metrics(reg, *engine->auditor());
+    }
+  }
+  std::ofstream out(opt.metrics_out);
+  WKNNG_CHECK_MSG(out.good(), "cannot write " << opt.metrics_out);
+  if (opt.metrics_format == "json") {
+    out << reg.to_json() << "\n";
+  } else {
+    out << reg.to_prometheus();
+  }
+  std::printf("wrote %s\n", opt.metrics_out.c_str());
+}
+
+/// --serve, for a static graph and the dynamic index alike: pumps the
+/// deterministic load generator through the micro-batching engine over
+/// `snap`, then writes the serve artifacts while the engine is alive.
+/// `hooks` carry the dynamic index's write mix; `publish_to`, when set,
+/// points the index's publications at the engine for the run.
+void run_serve(ThreadPool& pool, const Options& opt, const FloatMatrix& points,
+               std::shared_ptr<const serve::GraphSnapshot> snap,
+               const std::function<void(obs::MetricsRegistry&)>& add_series,
+               const serve::MutationHooks& hooks = {},
+               std::atomic<serve::ServeEngine*>* publish_to = nullptr) {
+  const FloatMatrix queries = load_queries(opt, points);
+
+  serve::ServeOptions so;
+  so.max_batch = opt.serve_batch;
+  so.workers = opt.serve_workers;
+  so.default_deadline_us = opt.serve_deadline_us;
+  so.search.k = opt.k;
+  so.search.beam = opt.beam;
+  so.search.seed = opt.seed;
+  so.search.rerank_depth = opt.rerank_depth;
+  so.search.patience = opt.patience;
+  so.search.visit_budget = opt.visit_budget;
+  so.adaptive_budget = opt.budget_auto;
+  configure_quality_plane(so, opt);
+  serve::ServeEngine engine(pool, so, std::move(snap));
+  if (publish_to != nullptr) publish_to->store(&engine);
+
+  serve::LoadGenConfig cfg;
+  cfg.mode = opt.serve_mode == "open" ? serve::LoadGenConfig::Mode::kOpen
+                                      : serve::LoadGenConfig::Mode::kClosed;
+  cfg.seed = opt.seed;
+  cfg.requests = opt.serve_requests;
+  cfg.rate_qps = opt.serve_rate;
+  cfg.concurrency = opt.serve_concurrency;
+  cfg.mutate_fraction = opt.serve_mutate;
+  cfg.delete_fraction = opt.serve_delete_frac;
+
+  std::printf("serving: mode=%s requests=%zu queries=%zu batch=%zu "
+              "workers=%zu deadline=%lluus mutate=%.2f (deletes %.2f)\n",
+              opt.serve_mode.c_str(), cfg.requests, queries.rows(),
+              so.max_batch, so.workers,
+              static_cast<unsigned long long>(so.default_deadline_us),
+              cfg.mutate_fraction, cfg.delete_fraction);
+  const serve::LoadGenReport rep = run_load(engine, queries, cfg, hooks);
+  engine.stop();
+  if (publish_to != nullptr) publish_to->store(nullptr);
+  std::printf("loadgen: %s\n", rep.to_json().c_str());
+  if (!opt.slo_report.empty()) write_slo_report(opt.slo_report, engine);
+  const std::string metrics_json = engine.metrics_json();
+  if (!opt.serve_metrics.empty()) {
+    std::ofstream out(opt.serve_metrics);
+    WKNNG_CHECK_MSG(out.good(), "cannot write " << opt.serve_metrics);
+    out << metrics_json << "\n";
+    std::printf("wrote %s\n", opt.serve_metrics.c_str());
+  } else {
+    std::printf("metrics: %s\n", metrics_json.c_str());
+  }
+  export_registry(opt, add_series, &engine);
+}
+
 /// Mutable-index mode: fresh build or checkpoint+WAL recovery, optional
 /// counter-seeded churn to --stop-at-version, optional serving (with a
 /// write mix) on top, and a final graph dump for replay comparison.
-int run_dynamic(ThreadPool& pool, const FloatMatrix& points,
-                const core::BuildParams& params, const Options& opt) {
+void run_dynamic(ThreadPool& pool, const FloatMatrix& points,
+                 const core::BuildParams& params, const Options& opt) {
   dynamic::DynamicParams dp;
   // The CLI steps the lifecycle itself (churn_step calls repair/compact
   // explicitly), so threshold-driven inline maintenance stays off and every
   // mutation is exactly one version bump.
   dp.auto_maintain = false;
   // Under --optimize-serve the *index* attaches the layout to every published
-  // snapshot (rebuild-or-reuse per the staleness policy), so the engine never
-  // has to optimize inline on the publish path.
+  // snapshot (rebuild-or-reuse per the staleness policy).
   dp.optimize = opt.optimize_serve;
   std::atomic<serve::ServeEngine*> engine_ptr{nullptr};
   dp.on_publish = [&engine_ptr](auto snap) {
@@ -546,71 +684,10 @@ int run_dynamic(ThreadPool& pool, const FloatMatrix& points,
     churn_step(*dyn, points, opt.seed);
   }
 
-  // Central registry export; the serve path calls it inside the engine's
-  // lifetime so the wknng_serve_* / wknng_slo_* live gauges render.
-  const auto export_registry = [&](const serve::ServeEngine* e) {
-    if (opt.metrics_out.empty()) return;
-    obs::MetricsRegistry reg;
-    obs::register_build_info(reg, obs::build_info());
+  const auto add_series = [&](obs::MetricsRegistry& reg) {
     dynamic::register_metrics(reg, dyn->metrics());
-    if (e != nullptr) {
-      serve::register_metrics(reg, e->metrics());
-      if (e->slo_tracker() != nullptr) {
-        obs::register_slo_metrics(reg, *e->slo_tracker());
-      }
-      if (e->auditor() != nullptr) {
-        obs::register_audit_metrics(reg, *e->auditor());
-      }
-    }
-    std::ofstream mout(opt.metrics_out);
-    WKNNG_CHECK_MSG(mout.good(), "cannot write " << opt.metrics_out);
-    if (opt.metrics_format == "json") {
-      mout << reg.to_json() << "\n";
-    } else {
-      mout << reg.to_prometheus();
-    }
-    std::printf("wrote %s\n", opt.metrics_out.c_str());
   };
-
   if (opt.serve) {
-    FloatMatrix squeries;
-    const std::size_t nq = std::min<std::size_t>(256, points.rows());
-    squeries.resize(nq, points.cols());
-    Rng qrng(opt.seed ^ 0x5E27EULL);
-    for (std::size_t qi = 0; qi < nq; ++qi) {
-      const auto src = points.row(qrng.next_below(points.rows()));
-      auto dst = squeries.row(qi);
-      for (std::size_t d = 0; d < points.cols(); ++d) {
-        dst[d] = src[d] + 0.02f * qrng.next_gaussian();
-      }
-    }
-
-    serve::ServeOptions so;
-    so.max_batch = opt.serve_batch;
-    so.max_delay_us = opt.serve_delay_us;
-    so.workers = opt.serve_workers;
-    so.default_deadline_us = opt.serve_deadline_us;
-    so.search.k = opt.k;
-    so.search.beam = opt.beam;
-    so.search.seed = opt.seed;
-    so.optimize = opt.optimize_serve;
-    so.search.patience = opt.patience;
-    so.search.visit_budget = opt.visit_budget;
-    so.adaptive_budget = opt.budget_auto;
-    configure_quality_plane(so, opt);
-    serve::ServeEngine engine(pool, so, dyn->snapshot());
-    engine_ptr.store(&engine);
-
-    serve::LoadGenConfig cfg;
-    cfg.mode = opt.serve_mode == "open" ? serve::LoadGenConfig::Mode::kOpen
-                                        : serve::LoadGenConfig::Mode::kClosed;
-    cfg.seed = opt.seed;
-    cfg.requests = opt.serve_requests;
-    cfg.rate_qps = opt.serve_rate;
-    cfg.concurrency = opt.serve_concurrency;
-    cfg.mutate_fraction = opt.serve_mutate;
-    cfg.delete_fraction = opt.serve_delete_frac;
-
     serve::MutationHooks hooks;
     hooks.insert = [&](std::size_t i) {
       FloatMatrix one(1, points.cols());
@@ -625,16 +702,10 @@ int run_dynamic(ThreadPool& pool, const FloatMatrix& points,
       dyn->erase(std::vector<std::uint32_t>{
           static_cast<std::uint32_t>(i % points.rows())});
     };
-
-    std::printf("serving dynamic: requests=%zu mutate=%.2f (deletes %.2f)\n",
-                cfg.requests, cfg.mutate_fraction, cfg.delete_fraction);
-    const serve::LoadGenReport rep = run_load(engine, squeries, cfg, hooks);
-    engine.drain();
-    engine_ptr.store(nullptr);
-    engine.stop();
-    std::printf("loadgen: %s\n", rep.to_json().c_str());
-    if (!opt.slo_report.empty()) write_slo_report(opt.slo_report, engine);
-    export_registry(&engine);
+    run_serve(pool, opt, points, dyn->snapshot(), add_series, hooks,
+              &engine_ptr);
+  } else {
+    export_registry(opt, add_series, nullptr);
   }
 
   const dynamic::DynamicState st = dyn->state();
@@ -647,18 +718,8 @@ int run_dynamic(ThreadPool& pool, const FloatMatrix& points,
 
   if (!opt.out.empty()) {
     const auto snap = dyn->snapshot();
-    // With --optimize-serve the published layout rides along as a WKNNGOP1
-    // trailer; plain read_knng still sees just the graph, so the CI replay
-    // md5 (which never passes --optimize-serve) is unaffected.
-    if (const opt::ServingGraph* sg = snap->serving_layout()) {
-      data::write_knng_serving(opt.out, snap->graph, *sg);
-    } else {
-      data::write_knng(opt.out, snap->graph);
-    }
-    std::printf("wrote %s\n", opt.out.c_str());
+    write_graph(opt.out, snap->graph, snap->serving_layout());
   }
-  if (!opt.serve) export_registry(nullptr);
-  return 0;
 }
 
 }  // namespace
@@ -721,6 +782,26 @@ int main(int argc, char** argv) {
       flight.emplace(fo);
       flight_scope.emplace(*flight);
     }
+    // Every run, dynamic or one-shot, ends by flushing the flight log and
+    // serialising the trace.
+    const auto close_run = [&] {
+      if (flight) {
+        flight->flush();
+        std::printf("flight: %llu recorded, %llu promoted to %s\n",
+                    static_cast<unsigned long long>(flight->recorded()),
+                    static_cast<unsigned long long>(flight->promoted()),
+                    opt->flight_log.c_str());
+      }
+      if (tracer) {
+        tracing.reset();  // uninstall before serialising
+        tracer->write_chrome_json(opt->trace_out);
+        std::printf("wrote %s (%zu trace events)\n", opt->trace_out.c_str(),
+                    tracer->event_count());
+      }
+    };
+    if (opt->serve_mode != "closed" && opt->serve_mode != "open") {
+      throw Error("unknown serve mode: " + opt->serve_mode);
+    }
     FloatMatrix points = load_points(*opt);
     std::printf("loaded %zu points x %zu dims\n", points.rows(), points.cols());
 
@@ -771,7 +852,9 @@ int main(int argc, char** argv) {
     // Mutable-index mode short-circuits the one-shot pipeline: the dynamic
     // subsystem owns build/recover, churn, serving, and the graph dump.
     if (!opt->dynamic_dir.empty()) {
-      return run_dynamic(pool, points, params, *opt);
+      run_dynamic(pool, points, params, *opt);
+      close_run();
+      return 0;
     }
     WKNNG_CHECK_MSG(opt->serve_mutate == 0.0,
                     "--serve-mutate needs --dynamic-dir (a mutable index)");
@@ -906,31 +989,11 @@ int main(int argc, char** argv) {
       degraded = h.degraded;
     }
 
-    // Central registry export: build info + build metrics always; the serve
-    // series joins when the engine ran (rendered inside its lifetime).
-    const auto write_metrics = [&](const serve::ServeEngine* e) {
-      if (opt->metrics_out.empty()) return;
-      obs::MetricsRegistry reg;
-      obs::register_build_info(reg, obs::build_info());
+    // The build's own registry series; the serve series join when the engine
+    // runs.
+    const auto add_series = [&](obs::MetricsRegistry& reg) {
       core::register_build_metrics(reg, result);
       if (sharded) shard::register_shard_metrics(reg, sharded->report);
-      if (e != nullptr) {
-        serve::register_metrics(reg, e->metrics());
-        if (e->slo_tracker() != nullptr) {
-          obs::register_slo_metrics(reg, *e->slo_tracker());
-        }
-        if (e->auditor() != nullptr) {
-          obs::register_audit_metrics(reg, *e->auditor());
-        }
-      }
-      std::ofstream mout(opt->metrics_out);
-      WKNNG_CHECK_MSG(mout.good(), "cannot write " << opt->metrics_out);
-      if (opt->metrics_format == "json") {
-        mout << reg.to_json() << "\n";
-      } else {
-        mout << reg.to_prometheus();
-      }
-      std::printf("wrote %s\n", opt->metrics_out.c_str());
     };
 
     // Evaluation.
@@ -975,105 +1038,23 @@ int main(int argc, char** argv) {
                   core::mean_edge_distance(result.graph));
     }
 
+    // The served snapshot. --optimize-serve attaches the layout here, before
+    // the engine exists, so --out can carry it as a WKNNGOP1 trailer.
+    std::shared_ptr<const serve::GraphSnapshot> snap;
+    if (opt->serve) {
+      snap = serve::make_snapshot(1, points, result.graph, result.sq8);
+      if (opt->optimize_serve) snap = serve::with_serving_layout(pool, snap);
+    }
     if (!opt->out.empty()) {
-      data::write_knng(opt->out, result.graph);
-      std::printf("wrote %s\n", opt->out.c_str());
+      write_graph(opt->out, result.graph,
+                  snap != nullptr ? snap->serving_layout() : nullptr);
     }
     if (opt->serve) {
-      // Serving mode: pump the deterministic load generator through the
-      // micro-batching engine instead of running a one-shot search pass.
-      FloatMatrix squeries;
-      if (!opt->queries.empty()) {
-        squeries = data::read_fvecs(opt->queries);
-        WKNNG_CHECK_MSG(squeries.cols() == points.cols(),
-                        "query dim " << squeries.cols() << " != base dim "
-                                     << points.cols());
-      } else {
-        // No query file: perturbed base points, the standard held-out proxy.
-        const std::size_t nq = std::min<std::size_t>(256, points.rows());
-        squeries.resize(nq, points.cols());
-        Rng rng(opt->seed ^ 0x5E27EULL);
-        for (std::size_t qi = 0; qi < nq; ++qi) {
-          const auto src = points.row(rng.next_below(points.rows()));
-          auto dst = squeries.row(qi);
-          for (std::size_t d = 0; d < points.cols(); ++d) {
-            dst[d] = src[d] + 0.02f * rng.next_gaussian();
-          }
-        }
-      }
-
-      serve::ServeOptions so;
-      so.max_batch = opt->serve_batch;
-      so.max_delay_us = opt->serve_delay_us;
-      so.workers = opt->serve_workers;
-      so.default_deadline_us = opt->serve_deadline_us;
-      so.search.k = opt->k;
-      so.search.beam = opt->beam;
-      so.search.seed = opt->seed;
-      so.search.rerank_depth = opt->rerank_depth;
-      so.optimize = opt->optimize_serve;
-      so.search.patience = opt->patience;
-      so.search.visit_budget = opt->visit_budget;
-      so.adaptive_budget = opt->budget_auto;
-      configure_quality_plane(so, *opt);
-      serve::ServeEngine engine(
-          pool, so,
-          serve::make_snapshot(1, points, result.graph, result.sq8));
-      if (opt->optimize_serve && !opt->out.empty()) {
-        // Re-write --out with the engine's layout as a WKNNGOP1 trailer so a
-        // later serving process can skip the optimization pass.
-        if (const opt::ServingGraph* sg =
-                engine.snapshot()->serving_layout()) {
-          data::write_knng_serving(opt->out, result.graph, *sg);
-          std::printf("rewrote %s with serving-layout trailer\n",
-                      opt->out.c_str());
-        }
-      }
-
-      serve::LoadGenConfig cfg;
-      if (opt->serve_mode == "closed") {
-        cfg.mode = serve::LoadGenConfig::Mode::kClosed;
-      } else if (opt->serve_mode == "open") {
-        cfg.mode = serve::LoadGenConfig::Mode::kOpen;
-      } else {
-        throw Error("unknown serve mode: " + opt->serve_mode);
-      }
-      cfg.seed = opt->seed;
-      cfg.requests = opt->serve_requests;
-      cfg.rate_qps = opt->serve_rate;
-      cfg.concurrency = opt->serve_concurrency;
-
-      std::printf("serving: mode=%s requests=%zu queries=%zu batch=%zu "
-                  "delay=%lluus workers=%zu deadline=%lluus\n",
-                  opt->serve_mode.c_str(), cfg.requests, squeries.rows(),
-                  so.max_batch,
-                  static_cast<unsigned long long>(so.max_delay_us),
-                  so.workers,
-                  static_cast<unsigned long long>(so.default_deadline_us));
-      const serve::LoadGenReport rep = serve::run_load(engine, squeries, cfg);
-      engine.stop();
-      std::printf("loadgen: %s\n", rep.to_json().c_str());
-      if (!opt->slo_report.empty()) write_slo_report(opt->slo_report, engine);
-      const std::string metrics_json = engine.metrics_json();
-      if (!opt->serve_metrics.empty()) {
-        std::ofstream out(opt->serve_metrics);
-        WKNNG_CHECK_MSG(out.good(),
-                        "cannot write " << opt->serve_metrics);
-        out << metrics_json << "\n";
-        std::printf("wrote %s\n", opt->serve_metrics.c_str());
-      } else {
-        std::printf("metrics: %s\n", metrics_json.c_str());
-      }
-      // Registry export must happen while the engine (and its linked live
-      // instruments) is still alive.
-      write_metrics(&engine);
+      run_serve(pool, *opt, points, std::move(snap), add_series);
     } else if (!opt->queries.empty() && sharded) {
       // Sharded index: route each query to its top-p shards by centroid
       // distance and k-way-merge the per-shard answers.
-      const FloatMatrix queries = data::read_fvecs(opt->queries);
-      WKNNG_CHECK_MSG(queries.cols() == points.cols(),
-                      "query dim " << queries.cols() << " != base dim "
-                                   << points.cols());
+      const FloatMatrix queries = load_queries(*opt, points);
       shard::RouterParams rp;
       rp.top_p = opt->shard_top_p;
       rp.search.k = opt->k;
@@ -1090,23 +1071,10 @@ int main(int argc, char** argv) {
                   rp.top_p, router.routable().size(),
                   static_cast<unsigned long long>(rstats.probes));
       if (!opt->out_results.empty()) {
-        Matrix<std::int32_t> ids(queries.rows(), opt->k);
-        for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
-          auto row = found.row(qi);
-          for (std::size_t s_i = 0; s_i < opt->k; ++s_i) {
-            ids(qi, s_i) = row[s_i].id == KnnGraph::kInvalid
-                               ? -1
-                               : static_cast<std::int32_t>(row[s_i].id);
-          }
-        }
-        data::write_ivecs(opt->out_results, ids);
-        std::printf("wrote %s\n", opt->out_results.c_str());
+        write_ids(opt->out_results, found, opt->k);
       }
     } else if (!opt->queries.empty()) {
-      const FloatMatrix queries = data::read_fvecs(opt->queries);
-      WKNNG_CHECK_MSG(queries.cols() == points.cols(),
-                      "query dim " << queries.cols() << " != base dim "
-                                   << points.cols());
+      const FloatMatrix queries = load_queries(*opt, points);
       core::SearchParams sp;
       sp.k = opt->k;
       sp.beam = opt->beam;
@@ -1133,48 +1101,14 @@ int main(int argc, char** argv) {
                       static_cast<double>(sstats.queries) /
                       static_cast<double>(points.rows()));
       if (!opt->out_results.empty()) {
-        Matrix<std::int32_t> ids(queries.rows(), opt->k);
-        for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
-          auto row = found.row(qi);
-          for (std::size_t s_i = 0; s_i < opt->k; ++s_i) {
-            ids(qi, s_i) = row[s_i].id == KnnGraph::kInvalid
-                               ? -1
-                               : static_cast<std::int32_t>(row[s_i].id);
-          }
-        }
-        data::write_ivecs(opt->out_results, ids);
-        std::printf("wrote %s\n", opt->out_results.c_str());
+        write_ids(opt->out_results, found, opt->k);
       }
     }
 
-    if (!opt->out_ivecs.empty()) {
-      Matrix<std::int32_t> ids(points.rows(), opt->k);
-      for (std::size_t i = 0; i < points.rows(); ++i) {
-        auto row = result.graph.row(i);
-        for (std::size_t s = 0; s < opt->k; ++s) {
-          ids(i, s) = row[s].id == KnnGraph::kInvalid
-                          ? -1
-                          : static_cast<std::int32_t>(row[s].id);
-        }
-      }
-      data::write_ivecs(opt->out_ivecs, ids);
-      std::printf("wrote %s\n", opt->out_ivecs.c_str());
-    }
+    if (!opt->out_ivecs.empty()) write_ids(opt->out_ivecs, result.graph, opt->k);
 
-    if (!opt->serve) write_metrics(nullptr);
-    if (flight) {
-      flight->flush();
-      std::printf("flight: %llu recorded, %llu promoted to %s\n",
-                  static_cast<unsigned long long>(flight->recorded()),
-                  static_cast<unsigned long long>(flight->promoted()),
-                  opt->flight_log.c_str());
-    }
-    if (tracer) {
-      tracing.reset();  // uninstall before serialising
-      tracer->write_chrome_json(opt->trace_out);
-      std::printf("wrote %s (%zu trace events)\n", opt->trace_out.c_str(),
-                  tracer->event_count());
-    }
+    if (!opt->serve) export_registry(*opt, add_series, nullptr);
+    close_run();
     // A degraded build still produced a usable graph (and any requested
     // outputs above), but scripted callers should know it was not the ideal
     // run — hence the distinct exit code.

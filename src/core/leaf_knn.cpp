@@ -191,29 +191,6 @@ void process_bucket(simt::Warp& w, const FloatMatrix& points,
   }
 }
 
-void leaf_knn(ThreadPool& pool, const FloatMatrix& points,
-              const Buckets& buckets, Strategy strategy, KnnSetArray& sets,
-              simt::StatsAccumulator* acc, std::size_t scratch_bytes,
-              const simt::ScheduleSpec& schedule,
-              const kernels::Sq8View* sq8) {
-  // Per-dataset squared-norm cache for the tiled micro-kernel's norm-trick
-  // path. The strict backend ignores norm caches, so skip the O(n*dim) pass;
-  // the compressed tier has its own per-row term cache (Sq8View::terms).
-  std::vector<float> norms;
-  const bool use_sq8 = sq8 != nullptr && sq8->valid();
-  if (strategy == Strategy::kTiled && !use_sq8 && !kernels::strict_mode()) {
-    norms = kernels::row_norms(points);
-  }
-  simt::LaunchConfig config;
-  config.scratch_bytes = scratch_bytes;
-  config.schedule = schedule;
-  config.trace_label = "leaf_knn";
-  simt::launch_warps(pool, buckets.num_buckets(), config, acc, [&](Warp& w) {
-    process_bucket(w, points, buckets.bucket(w.id()), strategy, sets, norms,
-                   sq8);
-  });
-}
-
 namespace {
 
 /// One failed bucket execution: which bucket, and whether the failure was a

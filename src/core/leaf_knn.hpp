@@ -10,8 +10,16 @@
 
 namespace wknng::core {
 
-/// Runs the warp-centric brute-force pass over every forest bucket, feeding
-/// the global k-NN sets with the selected maintenance strategy. One warp
+/// What the resilient leaf pass had to do beyond the happy path.
+struct LeafReport {
+  std::size_t buckets_retried = 0;   ///< bucket executions re-launched
+  std::size_t buckets_failed = 0;    ///< still failed after every retry
+  std::size_t buckets_degraded = 0;  ///< kShared buckets re-run as kTiled
+  std::size_t launches_retried = 0;  ///< whole launches retried (alloc fail)
+};
+
+/// The warp-centric brute-force pass over every forest bucket, feeding the
+/// global k-NN sets with the selected maintenance strategy. One warp
 /// processes one bucket.
 ///
 /// Kernel shapes (see DESIGN.md):
@@ -27,26 +35,12 @@ namespace wknng::core {
 /// fp32 rows — the compressed storage tier. The k-NN sets then hold
 /// approximate distances; the builder's exact rerank restores full-precision
 /// ordering before the final graph is emitted.
-void leaf_knn(ThreadPool& pool, const FloatMatrix& points,
-              const Buckets& buckets, Strategy strategy, KnnSetArray& sets,
-              simt::StatsAccumulator* acc, std::size_t scratch_bytes,
-              const simt::ScheduleSpec& schedule = {},
-              const kernels::Sq8View* sq8 = nullptr);
-
-/// What the resilient leaf pass had to do beyond the happy path.
-struct LeafReport {
-  std::size_t buckets_retried = 0;   ///< bucket executions re-launched
-  std::size_t buckets_failed = 0;    ///< still failed after every retry
-  std::size_t buckets_degraded = 0;  ///< kShared buckets re-run as kTiled
-  std::size_t launches_retried = 0;  ///< whole launches retried (alloc fail)
-};
-
-/// Recovery-wrapped leaf pass used by the builder. Per-bucket failures
-/// (scratch overflow, warp abort, lock timeout — real or injected) are
-/// caught inside the warp body, recorded, and the affected buckets are
-/// re-launched up to `max_retries` times with capped backoff; a kShared
-/// bucket that overflowed its scratch budget is retried with the kTiled
-/// kernel instead (recorded as degraded). Retrying a partially processed
+///
+/// Recovery: per-bucket failures (scratch overflow, warp abort, lock
+/// timeout — real or injected) are caught inside the warp body, recorded,
+/// and the affected buckets are re-launched up to `max_retries` times with
+/// capped backoff; a kShared bucket that overflowed its scratch budget is
+/// retried with the kTiled kernel instead (recorded as degraded). Retrying a partially processed
 /// bucket is safe because k-NN-set inserts are idempotent (duplicate ids
 /// rejected, keep-k-best). `quarantined` — a sorted id list — is filtered
 /// out of every bucket before processing. Buckets that fail every retry are
@@ -69,7 +63,7 @@ void leaf_knn_resilient(ThreadPool& pool, const FloatMatrix& points,
 /// `norms_by_id`, when non-empty, is a squared-norm cache indexed by point
 /// id (kernels::row_norms) used by the tiled kernel's norm-trick path.
 /// `sq8`, when valid, routes every pair distance through the compressed tier
-/// (asymmetric fp32-query-vs-u8-codes; see leaf_knn).
+/// (asymmetric fp32-query-vs-u8-codes; see leaf_knn_resilient).
 void process_bucket(simt::Warp& w, const FloatMatrix& points,
                     std::span<const std::uint32_t> ids, Strategy strategy,
                     KnnSetArray& sets, std::span<const float> norms_by_id = {},

@@ -54,7 +54,7 @@ Adjacency snapshot_adjacency(ThreadPool& pool, const KnnSetArray& sets,
 /// number of points skipped that way (0 on a clean round).
 ///
 /// `sq8`, when valid, scores every candidate against the compressed (u8)
-/// rows asymmetrically instead of the fp32 rows (see leaf_knn).
+/// rows asymmetrically instead of the fp32 rows (see leaf_knn_resilient).
 std::size_t refine_round(ThreadPool& pool, const FloatMatrix& points,
                          const Adjacency& adj, const BuildParams& params,
                          KnnSetArray& sets, simt::StatsAccumulator* acc,

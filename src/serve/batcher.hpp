@@ -54,27 +54,44 @@ struct Request {
 
 /// Bounded MPMC request queue plus the micro-batch policy. Batch formation
 /// is work-conserving: an idle executor takes everything queued, up to
-/// `max_batch` requests in FIFO order, at once, so batches grow only from
-/// the backlog that builds while executors are busy. `max_delay_us > 0` is
-/// an opt-in linger that trades latency for batch size: a partial batch is
-/// held until it reaches `max_batch` or its oldest request has waited
-/// `max_delay_us`, whichever comes first. Push never blocks — a full queue
-/// rejects (the caller sheds the request with a typed result), which bounds
-/// memory and queueing delay under overload. Multiple executor threads may
-/// call next_batch concurrently.
+/// `max_batch` requests in FIFO order, without waiting for a full batch, so
+/// batches grow only from the backlog that builds while executors are busy. Push never blocks — a
+/// full queue rejects (the caller sheds the request with a typed result),
+/// which bounds memory and queueing delay under overload. Multiple executor
+/// threads may call next_batch concurrently.
 class MicroBatcher {
  public:
-  MicroBatcher(std::size_t max_batch, std::uint64_t max_delay_us,
-               std::size_t capacity);
+  /// Scoped dispatch hold (see hold()). Move-only; releases on destruction
+  /// or on release(). Must not outlive the batcher.
+  class Hold {
+   public:
+    Hold(Hold&& other) noexcept;
+    Hold& operator=(Hold&&) = delete;
+    ~Hold() { release(); }
+    void release();
+
+   private:
+    friend class MicroBatcher;
+    explicit Hold(MicroBatcher* owner) : owner_(owner) {}
+    MicroBatcher* owner_;
+  };
+
+  MicroBatcher(std::size_t max_batch, std::size_t capacity);
 
   /// Enqueues `r`; returns false (leaving `r` intact) when the queue is at
   /// capacity or the batcher is closed.
   bool push(Request&& r);
 
-  /// Blocks until a request is queued, then returns the next micro-batch
-  /// (after the linger, when one is set). An empty vector means the batcher
-  /// was closed and fully drained — the executor should exit.
+  /// Blocks until a request is queued and no hold is active, then returns
+  /// the next micro-batch. An empty vector means the batcher was closed and
+  /// fully drained — the executor should exit.
   std::vector<Request> next_batch();
+
+  /// Holds dispatch until every returned Hold is released: admission goes
+  /// on, so the queue fills (and sheds at capacity) and the first batch
+  /// after release takes the whole backlog, up to `max_batch`. close()
+  /// overrides a hold, so shutdown still drains.
+  [[nodiscard]] Hold hold();
 
   /// Stops admission and wakes every waiter; queued requests still drain
   /// through next_batch.
@@ -85,12 +102,12 @@ class MicroBatcher {
 
  private:
   const std::size_t max_batch_;
-  const std::chrono::microseconds max_delay_;
   const std::size_t capacity_;
 
   mutable std::mutex mutex_;
-  std::condition_variable ready_cv_;  // queue non-empty or closed
+  std::condition_variable ready_cv_;  // dispatchable work, or closed
   std::deque<Request> queue_;
+  std::size_t holds_ = 0;
   bool closed_ = false;
 };
 

@@ -37,8 +37,7 @@ ServeEngine::ServeEngine(ThreadPool& pool, ServeOptions options,
     : pool_(&pool),
       options_(options),
       slot_(std::move(initial)),
-      batcher_(options.max_batch, options.max_delay_us,
-               options.queue_capacity) {
+      batcher_(options.max_batch, options.queue_capacity) {
   WKNNG_CHECK_MSG(slot_.current() != nullptr,
                   "ServeEngine needs an initial snapshot");
   WKNNG_CHECK_MSG(options_.workers > 0, "ServeEngine needs >= 1 worker");
@@ -55,13 +54,6 @@ ServeEngine::ServeEngine(ThreadPool& pool, ServeOptions options,
   if (options_.audit.fraction > 0.0) {
     auditor_ = std::make_unique<obs::RecallAuditor>(options_.audit);
     auditor_->attach_slo(slo_.get());
-  }
-  if (options_.optimize) {
-    const auto snap = slot_.current();
-    if (snap->serving_layout() == nullptr) {
-      slot_.publish(
-          with_serving_layout(*pool_, snap, options_.optimize_options));
-    }
   }
   workers_.reserve(options_.workers);
   for (std::size_t w = 0; w < options_.workers; ++w) {
@@ -127,11 +119,6 @@ std::future<QueryResult> ServeEngine::submit_impl(std::vector<float> query,
 
 void ServeEngine::publish(std::shared_ptr<const GraphSnapshot> next) {
   WKNNG_CHECK_MSG(next != nullptr, "cannot publish a null snapshot");
-  if (options_.optimize && next->serving_layout() == nullptr) {
-    // The publisher pays for the layout build; query threads only ever see
-    // the finished snapshot land atomically.
-    next = with_serving_layout(*pool_, next, options_.optimize_options);
-  }
   const std::uint64_t version = next->version;
   slot_.publish(std::move(next));
   metrics_.snapshots_published.add();

@@ -23,15 +23,15 @@
 
 namespace wknng::serve {
 
-/// Engine policy knobs. By default batch formation is work-conserving: an
-/// idle executor dispatches whatever is queued (up to max_batch) at once,
-/// and batches grow only from the backlog that builds while executors are
-/// busy. `max_delay_us > 0` is an opt-in linger that holds a partial batch
-/// for more arrivals, trading latency for batch size (bench/fig11_serving
-/// sweeps that trade-off).
+/// Engine policy knobs. Batch formation is work-conserving: an idle
+/// executor dispatches whatever is queued (up to max_batch) without waiting
+/// for a full batch, and batches grow only from the backlog that builds
+/// while executors are busy (see MicroBatcher).
+/// The engine serves each snapshot as it is handed: a caller that wants the
+/// optimized layout attaches it with with_serving_layout (or
+/// DynamicParams::optimize) before constructing the engine or publishing.
 struct ServeOptions {
   std::size_t max_batch = 32;          ///< batch cap (queries per batch)
-  std::uint64_t max_delay_us = 0;      ///< partial-batch linger; 0 = none
   std::size_t workers = 2;             ///< batch executor threads
   std::size_t queue_capacity = 4096;   ///< pending requests before shedding
   std::uint64_t default_deadline_us = 0;  ///< per-request default; 0 = none
@@ -41,16 +41,6 @@ struct ServeOptions {
   /// depth (see core::SearchParams; all default to off / auto).
   core::SearchParams search;
   obs::ObsParams obs;                  ///< span-tracing participation knobs
-
-  /// Serve-path optimization. With `optimize` on, the engine ensures every
-  /// served snapshot carries an optimized layout (opt::optimize_serving with
-  /// `optimize_options`): the initial snapshot and any published without one
-  /// are optimized synchronously on the publisher's thread before the swap.
-  /// Snapshots that already carry a layout (e.g. from the dynamic index) are
-  /// served as-is. With `optimize` off, snapshots still route through their
-  /// layout when they happen to carry one — SQ8 snapshots included.
-  bool optimize = false;
-  opt::OptimizeOptions optimize_options;
 
   /// Learned per-query budgets: predict a cheap rung for every fresh query,
   /// re-run the (few) queries the rung capped at successively higher rungs,
@@ -83,14 +73,12 @@ struct ServeOptions {
 /// Request path: `submit` assigns the request an id and a determinism tag,
 /// stamps its deadline, and enqueues it (or sheds, typed, when the queue is
 /// full). An idle executor thread takes everything queued, up to
-/// `max_batch`, as one micro-batch (with a `max_delay_us` linger it first
-/// waits for a full batch or the linger to expire), pins the current
-/// GraphSnapshot, and runs the warp-per-query `core::search_batch` kernel
-/// over the snapshot's search target (GraphSnapshot::search_target: its
-/// layout if it carries one, its raw graph otherwise, plus its norm cache
-/// and SQ8 tier) on the shared ThreadPool — several batches in flight use
-/// the pool's multi-job scheduling, the substrate's analogue of concurrent
-/// kernels on one device.
+/// `max_batch`, as one micro-batch, pins the current GraphSnapshot, and
+/// runs the warp-per-query `core::search_batch` kernel over the snapshot's
+/// search target (GraphSnapshot::search_target: its layout if it carries
+/// one, its raw graph otherwise, plus its norm cache and SQ8 tier) on the
+/// shared ThreadPool — several batches in flight use the pool's multi-job
+/// scheduling, the substrate's analogue of concurrent kernels on one device.
 ///
 /// Snapshots: `publish` atomically swaps the graph (std::shared_ptr store);
 /// in-flight batches finish on the snapshot they pinned, new batches see the
@@ -126,7 +114,7 @@ class ServeEngine {
   std::future<QueryResult> submit(std::vector<float> query,
                                   std::uint64_t deadline_us = 0);
 
-  /// Atomically swaps the served snapshot (never null).
+  /// Atomically swaps the served snapshot (never null), served as handed.
   void publish(std::shared_ptr<const GraphSnapshot> next);
   std::shared_ptr<const GraphSnapshot> snapshot() const {
     return slot_.current();
@@ -136,8 +124,16 @@ class ServeEngine {
   void drain();
 
   /// Drains the queue, stops the executors, and joins them (idempotent; the
-  /// destructor calls it). Requests submitted after stop() are shed.
+  /// destructor calls it). Requests submitted after stop() are shed. Stop
+  /// overrides an active dispatch hold.
   void stop();
+
+  /// Holds batch dispatch while the returned guard lives: requests are still
+  /// admitted (and shed at queue capacity) but none is dispatched, so on
+  /// release they leave together, up to `max_batch` per batch. For tests
+  /// that need a queue occupied or a deadline passed before dispatch. The
+  /// guard must not outlive the engine.
+  [[nodiscard]] MicroBatcher::Hold hold_dispatch() { return batcher_.hold(); }
 
   const ServeMetrics& metrics() const { return metrics_; }
   std::string metrics_json() const { return metrics_.to_json(); }

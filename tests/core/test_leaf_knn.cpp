@@ -9,6 +9,7 @@
 #include "data/synthetic.hpp"
 #include "exact/brute_force.hpp"
 #include "exact/recall.hpp"
+#include "simt/launch.hpp"
 
 namespace wknng::core {
 namespace {
@@ -38,6 +39,16 @@ KnnGraph reference_bucket_knn(const FloatMatrix& pts, const Buckets& buckets,
   return g;
 }
 
+/// One leaf pass with no retries and no quarantine: every bucket runs once.
+LeafReport leaf_pass(ThreadPool& pool, const FloatMatrix& pts,
+                     const Buckets& buckets, Strategy strategy,
+                     KnnSetArray& sets, simt::StatsAccumulator* acc = nullptr) {
+  LeafReport report;
+  leaf_knn_resilient(pool, pts, buckets, strategy, sets, acc, 48 * 1024, {},
+                     /*max_retries=*/0, /*quarantined=*/{}, report);
+  return report;
+}
+
 class LeafKnnTest : public ::testing::TestWithParam<Strategy> {};
 
 TEST_P(LeafKnnTest, MatchesReferenceWithinBuckets) {
@@ -46,7 +57,7 @@ TEST_P(LeafKnnTest, MatchesReferenceWithinBuckets) {
   const std::size_t k = 6;
   const Buckets forest = build_rp_forest(pool, pts, 3, 40, 5);
   KnnSetArray sets(pts.rows(), k);
-  leaf_knn(pool, pts, forest, GetParam(), sets, nullptr, 48 * 1024);
+  leaf_pass(pool, pts, forest, GetParam(), sets);
   const KnnGraph got = sets.extract(pool);
   ASSERT_TRUE(got.check_invariants());
 
@@ -79,7 +90,7 @@ TEST_P(LeafKnnTest, DistancesAreCorrectForReportedIds) {
   const std::size_t k = 5;
   const Buckets forest = build_rp_forest(pool, pts, 2, 32, 7);
   KnnSetArray sets(pts.rows(), k);
-  leaf_knn(pool, pts, forest, GetParam(), sets, nullptr, 48 * 1024);
+  leaf_pass(pool, pts, forest, GetParam(), sets);
   const KnnGraph g = sets.extract(pool);
   for (std::size_t i = 0; i < pts.rows(); ++i) {
     for (const Neighbor& nb : g.row(i)) {
@@ -98,8 +109,7 @@ TEST_P(LeafKnnTest, SingletonAndTinyBucketsAreHandled) {
   buckets.ids = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
   buckets.offsets = {0, 1, 3, 10};  // sizes 1, 2, 7
   KnnSetArray sets(pts.rows(), 3);
-  EXPECT_NO_THROW(
-      leaf_knn(pool, pts, buckets, GetParam(), sets, nullptr, 48 * 1024));
+  EXPECT_NO_THROW(leaf_pass(pool, pts, buckets, GetParam(), sets));
   const KnnGraph g = sets.extract(pool);
   EXPECT_TRUE(g.check_invariants());
   EXPECT_EQ(g.row_size(0), 0u);  // singleton bucket: no pairs
@@ -115,7 +125,7 @@ TEST_P(LeafKnnTest, StatsCountDistanceEvaluations) {
   buckets.offsets = {0, 128};
   KnnSetArray sets(pts.rows(), 4);
   simt::StatsAccumulator acc;
-  leaf_knn(pool, pts, buckets, GetParam(), sets, &acc, 48 * 1024);
+  leaf_pass(pool, pts, buckets, GetParam(), sets, &acc);
   EXPECT_EQ(acc.total().distance_evals, 128u * 127u / 2);
 }
 
@@ -126,7 +136,7 @@ TEST_P(LeafKnnTest, HighDimensionalBucketWorks) {
   for (std::uint32_t i = 0; i < 96; ++i) buckets.ids.push_back(i);
   buckets.offsets = {0, 96};
   KnnSetArray sets(pts.rows(), 4);
-  leaf_knn(pool, pts, buckets, GetParam(), sets, nullptr, 48 * 1024);
+  leaf_pass(pool, pts, buckets, GetParam(), sets);
   const KnnGraph g = sets.extract(pool);
   EXPECT_TRUE(g.check_invariants());
   for (std::size_t i = 0; i < 96; ++i) EXPECT_EQ(g.row_size(i), 4u);
@@ -150,7 +160,7 @@ TEST(LeafKnnStrategies, AllThreeAgreeOnNeighborSets) {
       Strategy::kBasic, Strategy::kAtomic, Strategy::kTiled};
   for (std::size_t s = 0; s < 3; ++s) {
     KnnSetArray sets(pts.rows(), k);
-    leaf_knn(pool, pts, forest, strategies[s], sets, nullptr, 48 * 1024);
+    leaf_pass(pool, pts, forest, strategies[s], sets);
     graphs[s] = sets.extract(pool);
   }
   // The three strategies process identical candidate streams, so their id
@@ -170,7 +180,6 @@ TEST(LeafKnnStrategies, AllThreeAgreeOnNeighborSets) {
   EXPECT_LE(disagreements, pts.rows() * k / 500 + 2);
 }
 
-
 TEST(SharedStrategy, ThrowsWhenBucketExceedsScratch) {
   // leaf_size * k * 8 bytes beyond the scratch budget must fail loudly —
   // this is the shared-memory limitation the paper's strategies remove.
@@ -180,9 +189,20 @@ TEST(SharedStrategy, ThrowsWhenBucketExceedsScratch) {
   for (std::uint32_t i = 0; i < 600; ++i) buckets.ids.push_back(i);
   buckets.offsets = {0, 600};
   KnnSetArray sets(pts.rows(), 32);  // 600 * 32 * 8 = 150 KiB > 48 KiB
-  EXPECT_THROW(
-      leaf_knn(pool, pts, buckets, Strategy::kShared, sets, nullptr, 48 * 1024),
-      Error);
+  simt::LaunchConfig config;
+  config.scratch_bytes = 48 * 1024;
+  EXPECT_THROW(simt::launch_warps(pool, 1, config, nullptr,
+                                  [&](simt::Warp& w) {
+                                    process_bucket(w, pts, buckets.bucket(0),
+                                                   Strategy::kShared, sets);
+                                  }),
+               Error);
+  // The leaf pass catches the overflow and, with no retry left to degrade
+  // the bucket to kTiled, reports it failed.
+  const LeafReport report =
+      leaf_pass(pool, pts, buckets, Strategy::kShared, sets);
+  EXPECT_EQ(report.buckets_failed, 1u);
+  EXPECT_EQ(report.buckets_degraded, 0u);
 }
 
 TEST(SharedStrategy, UsesNoGlobalSetTrafficDuringPass) {
@@ -198,7 +218,7 @@ TEST(SharedStrategy, UsesNoGlobalSetTrafficDuringPass) {
   auto traffic = [&](Strategy s) {
     KnnSetArray sets(pts.rows(), 8);
     simt::StatsAccumulator acc;
-    leaf_knn(pool, pts, buckets, s, sets, &acc, 48 * 1024);
+    leaf_pass(pool, pts, buckets, s, sets, &acc);
     return acc.total().global_reads;
   };
   // Both kernels read the same pair coordinates (2 rows per pair); subtract
@@ -216,8 +236,8 @@ TEST(SharedStrategy, MatchesOtherStrategiesExactly) {
   const Buckets forest = build_rp_forest(pool, pts, 3, 48, 9);
   KnnSetArray shared_sets(pts.rows(), 6);
   KnnSetArray basic_sets(pts.rows(), 6);
-  leaf_knn(pool, pts, forest, Strategy::kShared, shared_sets, nullptr, 48 * 1024);
-  leaf_knn(pool, pts, forest, Strategy::kBasic, basic_sets, nullptr, 48 * 1024);
+  leaf_pass(pool, pts, forest, Strategy::kShared, shared_sets);
+  leaf_pass(pool, pts, forest, Strategy::kBasic, basic_sets);
   const KnnGraph a = shared_sets.extract(pool);
   const KnnGraph b = basic_sets.extract(pool);
   std::size_t mismatches = 0;

@@ -19,7 +19,9 @@ KnnSetArray seeded_sets(ThreadPool& pool, const FloatMatrix& pts,
                         std::size_t k, Strategy strategy) {
   KnnSetArray sets(pts.rows(), k);
   const Buckets forest = build_rp_forest(pool, pts, 2, 24, 3);
-  leaf_knn(pool, pts, forest, strategy, sets, nullptr, 48 * 1024);
+  LeafReport report;
+  leaf_knn_resilient(pool, pts, forest, strategy, sets, nullptr, 48 * 1024, {},
+                     /*max_retries=*/0, /*quarantined=*/{}, report);
   return sets;
 }
 

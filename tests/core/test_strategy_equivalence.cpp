@@ -128,7 +128,7 @@ TEST(EquivalenceGrainTest, GrainSweepBitIdentical) {
 
   auto leaf_graph = [&](std::size_t grain, const ScheduleSpec& spec) {
     KnnSetArray sets(pts.rows(), 6);
-    // leaf_knn fixes its own grain internally, so drive launch_warps
+    // The leaf pass fixes its own grain internally, so drive launch_warps
     // directly to sweep the scheduling granularity too.
     simt::LaunchConfig lc;
     lc.grain = grain;
@@ -171,8 +171,10 @@ TEST_P(RefineInvarianceTest, RoundIsScheduleInvariant) {
                                            params.leaf_size, params.seed,
                                            nullptr, 0.0f);
     KnnSetArray sets(pts.rows(), params.k);
-    leaf_knn(pool, pts, forest, params.strategy, sets, nullptr,
-             params.scratch_bytes, {SchedulePolicy::kSequential, 0});
+    LeafReport report;
+    leaf_knn_resilient(pool, pts, forest, params.strategy, sets, nullptr,
+                       params.scratch_bytes, {SchedulePolicy::kSequential, 0},
+                       /*max_retries=*/0, /*quarantined=*/{}, report);
     const Adjacency adj = snapshot_adjacency(pool, sets, params.reverse_cap);
     BuildParams round = params;
     round.schedule = spec;

@@ -52,7 +52,6 @@ struct ChurnFixture {
   serve::ServeOptions serve_options() const {
     serve::ServeOptions so;
     so.max_batch = 8;
-    so.max_delay_us = 500;
     so.workers = 2;
     so.search.k = 5;
     return so;

@@ -293,7 +293,6 @@ TEST(ServeTrace, BatchSpansRecorded) {
     ScopedTracing scope(tr);
     serve::ServeOptions so;
     so.max_batch = 4;
-    so.max_delay_us = 200;
     so.workers = 2;
     so.search.k = 5;
     serve::ServeEngine engine(pool, so, serve::make_snapshot(1, base, graph));

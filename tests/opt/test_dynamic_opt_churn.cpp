@@ -207,7 +207,6 @@ TEST(DynamicOptChurn, ServingThroughAnEngineDuringChurnStaysClean) {
 
   serve::ServeOptions so;
   so.max_batch = 8;
-  so.max_delay_us = 200;
   so.workers = 2;
   so.search.k = 5;
   serve::ServeEngine engine(f.pool, so, dyn.snapshot());

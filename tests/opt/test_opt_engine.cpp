@@ -48,11 +48,15 @@ struct Fixture {
   ServeOptions options() const {
     ServeOptions so;
     so.max_batch = 8;
-    so.max_delay_us = 1000;
     so.workers = 2;
     so.search.k = 5;
-    so.optimize = true;
     return so;
+  }
+
+  /// Version `v` of the graph with its serving layout attached, the way a
+  /// caller hands the engine an optimized snapshot.
+  std::shared_ptr<const GraphSnapshot> optimized(std::uint64_t v) {
+    return with_serving_layout(pool, make_snapshot(v, base, graph));
   }
 
   void expect_ok_row(const QueryResult& qr) const {
@@ -67,10 +71,10 @@ struct Fixture {
 
 TEST(OptEngine, InitialSnapshotIsOptimizedAndQueriesAreCounted) {
   Fixture f;
-  ServeEngine engine(f.pool, f.options(), make_snapshot(1, f.base, f.graph));
+  ServeEngine engine(f.pool, f.options(), f.optimized(1));
 
-  // The engine optimized the initial snapshot at construction — before the
-  // first query, not lazily on the serving path.
+  // The layout the caller attached is what the engine serves through, from
+  // the first query on.
   const opt::ServingGraph* sg = engine.snapshot()->serving_layout();
   ASSERT_NE(sg, nullptr);
   EXPECT_EQ(sg->source_version, 1u);
@@ -86,20 +90,28 @@ TEST(OptEngine, InitialSnapshotIsOptimizedAndQueriesAreCounted) {
   EXPECT_EQ(engine.metrics().queries.value(), f.queries.rows());
 }
 
-TEST(OptEngine, PublishedPlainSnapshotIsOptimizedBeforeTheSwap) {
+TEST(OptEngine, PublishedSnapshotsAreServedAsHanded) {
   Fixture f;
-  ServeEngine engine(f.pool, f.options(), make_snapshot(1, f.base, f.graph));
-  engine.publish(make_snapshot(7, f.base, f.graph));
-  const auto snap = engine.snapshot();
-  EXPECT_EQ(snap->version, 7u);
-  const opt::ServingGraph* sg = snap->serving_layout();
-  ASSERT_NE(sg, nullptr);
-  EXPECT_EQ(sg->source_version, 7u);
+  ServeEngine engine(f.pool, f.options(), f.optimized(1));
 
-  auto fut = engine.submit(f.query_vec(0), 0, /*tag=*/0);
-  const QueryResult qr = fut.get();
+  // A plain snapshot stays plain: the engine builds no layout of its own.
+  engine.publish(make_snapshot(7, f.base, f.graph));
+  EXPECT_EQ(engine.snapshot()->version, 7u);
+  EXPECT_EQ(engine.snapshot()->serving_layout(), nullptr);
+  QueryResult qr = engine.submit(f.query_vec(0), 0, /*tag=*/0).get();
   f.expect_ok_row(qr);
   EXPECT_EQ(qr.snapshot_version, 7u);
+  EXPECT_EQ(engine.metrics().optimized_queries.value(), 0u);
+
+  // One published with a layout is served through it.
+  engine.publish(f.optimized(8));
+  const opt::ServingGraph* sg = engine.snapshot()->serving_layout();
+  ASSERT_NE(sg, nullptr);
+  EXPECT_EQ(sg->source_version, 8u);
+  qr = engine.submit(f.query_vec(0), 0, /*tag=*/0).get();
+  f.expect_ok_row(qr);
+  EXPECT_EQ(qr.snapshot_version, 8u);
+  EXPECT_EQ(engine.metrics().optimized_queries.value(), 1u);
 }
 
 TEST(OptEngine, WithServingLayoutLeavesTheOriginalUntouched) {
@@ -111,9 +123,8 @@ TEST(OptEngine, WithServingLayoutLeavesTheOriginalUntouched) {
   ASSERT_NE(optimized->serving_layout(), nullptr);
   EXPECT_EQ(optimized->version, 3u);
   EXPECT_EQ(optimized->serving_layout()->source_version, 3u);
-  // Already-optimized snapshots pass through the engine's publish unchanged.
-  ServeOptions so = f.options();
-  ServeEngine engine(f.pool, so, optimized);
+  // The engine serves the layout it is handed, not a copy.
+  ServeEngine engine(f.pool, f.options(), optimized);
   EXPECT_EQ(engine.snapshot()->serving.get(), optimized->serving.get());
 }
 
@@ -123,7 +134,7 @@ TEST(OptEngine, AdaptiveBudgetLearnsALadderWhileAnswersStayValid) {
   so.adaptive_budget = true;
   so.budget.sample_size = 8;
   so.budget.update_epoch = 16;
-  ServeEngine engine(f.pool, so, make_snapshot(1, f.base, f.graph));
+  ServeEngine engine(f.pool, so, f.optimized(1));
   ASSERT_NE(engine.budget_controller(), nullptr);
 
   const std::size_t rounds = 4;
@@ -160,7 +171,7 @@ TEST(OptEngine, FixedBudgetAndPatienceStillAnswerEveryQuery) {
   // Entry scoring counts toward the budget; keep the sample below the cap so
   // the bound below (budget + one hop of slack) is the binding one.
   so.search.entry_sample = 32;
-  ServeEngine engine(f.pool, so, make_snapshot(1, f.base, f.graph));
+  ServeEngine engine(f.pool, so, f.optimized(1));
   std::vector<std::future<QueryResult>> futs;
   for (std::size_t qi = 0; qi < f.queries.rows(); ++qi) {
     futs.push_back(engine.submit(f.query_vec(qi), 0, /*tag=*/qi));
@@ -175,13 +186,11 @@ TEST(OptEngine, FixedBudgetAndPatienceStillAnswerEveryQuery) {
 
 TEST(OptEngine, ConcurrentRepublishNeverServesAStaleOrHalfBuiltLayout) {
   // The sanitize-race target: queries hammer the engine while the publisher
-  // swaps fresh optimized snapshots. Every answer must come from some
-  // published version with ids inside that version's base — never from a
-  // half-built layout (TSan/ASan verify the memory side).
+  // builds and swaps fresh optimized snapshots. Every answer must come from
+  // some published version with ids inside that version's base — never from
+  // a half-built layout (TSan/ASan verify the memory side).
   Fixture f;
-  ServeOptions so = f.options();
-  so.max_delay_us = 100;
-  ServeEngine engine(f.pool, so, make_snapshot(1, f.base, f.graph));
+  ServeEngine engine(f.pool, f.options(), f.optimized(1));
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> answered{0};
@@ -203,7 +212,7 @@ TEST(OptEngine, ConcurrentRepublishNeverServesAStaleOrHalfBuiltLayout) {
     });
   }
   for (std::uint64_t v = 2; v <= 9; ++v) {
-    engine.publish(make_snapshot(v, f.base, f.graph));
+    engine.publish(f.optimized(v));
     const opt::ServingGraph* sg = engine.snapshot()->serving_layout();
     ASSERT_NE(sg, nullptr);
     ASSERT_EQ(sg->source_version, v);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
+#include <optional>
 #include <vector>
 
 namespace wknng::serve {
@@ -20,32 +22,18 @@ Request make_request(std::uint64_t id) {
 }
 
 TEST(MicroBatcher, FlushesImmediatelyAtMaxBatch) {
-  MicroBatcher b(4, /*max_delay_us=*/10'000'000, /*capacity=*/64);
+  MicroBatcher b(4, /*capacity=*/64);
   for (std::uint64_t i = 0; i < 4; ++i) {
     EXPECT_TRUE(b.push(make_request(i)));
   }
-  const auto t0 = Clock::now();
   const std::vector<Request> batch = b.next_batch();
-  const auto elapsed = Clock::now() - t0;
   ASSERT_EQ(batch.size(), 4u);
   // FIFO admission order survives into the batch.
   for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(batch[i].id, i);
-  // A full batch must not wait out the 10 s delay budget.
-  EXPECT_LT(elapsed, std::chrono::seconds(5));
-}
-
-TEST(MicroBatcher, FlushesPartialBatchAfterDelay) {
-  MicroBatcher b(100, /*max_delay_us=*/5000, /*capacity=*/64);
-  EXPECT_TRUE(b.push(make_request(7)));
-  EXPECT_TRUE(b.push(make_request(8)));
-  const std::vector<Request> batch = b.next_batch();
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].id, 7u);
-  EXPECT_EQ(batch[1].id, 8u);
 }
 
 TEST(MicroBatcher, ZeroLingerDispatchesALoneRequestAtOnce) {
-  MicroBatcher b(32, /*max_delay_us=*/0, /*capacity=*/64);
+  MicroBatcher b(32, /*capacity=*/64);
   EXPECT_TRUE(b.push(make_request(5)));
   const std::vector<Request> batch = b.next_batch();
   ASSERT_EQ(batch.size(), 1u);
@@ -54,7 +42,7 @@ TEST(MicroBatcher, ZeroLingerDispatchesALoneRequestAtOnce) {
 }
 
 TEST(MicroBatcher, ZeroLingerStillCapsABacklogAtMaxBatchInFifoOrder) {
-  MicroBatcher b(32, /*max_delay_us=*/0, /*capacity=*/128);
+  MicroBatcher b(32, /*capacity=*/128);
   for (std::uint64_t i = 0; i < 70; ++i) EXPECT_TRUE(b.push(make_request(i)));
   std::uint64_t next_id = 0;
   for (const std::size_t expect : {32u, 32u, 6u}) {
@@ -66,7 +54,7 @@ TEST(MicroBatcher, ZeroLingerStillCapsABacklogAtMaxBatchInFifoOrder) {
 }
 
 TEST(MicroBatcher, PushRejectsAtCapacityLeavingRequestIntact) {
-  MicroBatcher b(8, 10'000'000, /*capacity=*/2);
+  MicroBatcher b(8, /*capacity=*/2);
   EXPECT_TRUE(b.push(make_request(0)));
   EXPECT_TRUE(b.push(make_request(1)));
   Request rejected = make_request(2);
@@ -81,15 +69,61 @@ TEST(MicroBatcher, PushRejectsAtCapacityLeavingRequestIntact) {
 }
 
 TEST(MicroBatcher, CloseDrainsBacklogThenReturnsEmpty) {
-  MicroBatcher b(2, 10'000'000, 64);
+  MicroBatcher b(2, 64);
   for (std::uint64_t i = 0; i < 3; ++i) EXPECT_TRUE(b.push(make_request(i)));
   b.close();
   EXPECT_TRUE(b.closed());
   EXPECT_FALSE(b.push(make_request(9)));  // no admission after close
 
-  EXPECT_EQ(b.next_batch().size(), 2u);  // close flushes without delay
+  EXPECT_EQ(b.next_batch().size(), 2u);
   EXPECT_EQ(b.next_batch().size(), 1u);
   EXPECT_TRUE(b.next_batch().empty());  // drained: executor exit signal
+}
+
+TEST(MicroBatcher, HeldQueueLeavesAsOneBatchOnRelease) {
+  MicroBatcher b(32, /*capacity=*/64);
+  MicroBatcher::Hold hold = b.hold();
+  // The executor is already waiting when the requests arrive; without the
+  // hold it could take the first push alone.
+  std::future<std::vector<Request>> taken =
+      std::async(std::launch::async, [&] { return b.next_batch(); });
+  for (std::uint64_t i = 0; i < 5; ++i) EXPECT_TRUE(b.push(make_request(i)));
+  // Nothing leaves while held, however long the executor waits.
+  EXPECT_EQ(taken.wait_for(std::chrono::milliseconds(10)),
+            std::future_status::timeout);
+  EXPECT_EQ(b.depth(), 5u);
+  hold.release();
+  const std::vector<Request> batch = taken.get();
+  ASSERT_EQ(batch.size(), 5u);
+  for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(batch[i].id, i);
+}
+
+TEST(MicroBatcher, DispatchWaitsForEveryHold) {
+  MicroBatcher b(32, /*capacity=*/64);
+  MicroBatcher::Hold outer = b.hold();
+  std::optional<MicroBatcher::Hold> inner(b.hold());
+  std::future<std::vector<Request>> taken =
+      std::async(std::launch::async, [&] { return b.next_batch(); });
+  for (std::uint64_t i = 0; i < 3; ++i) EXPECT_TRUE(b.push(make_request(i)));
+  inner.reset();  // one hold left: the queue stays put
+  EXPECT_EQ(taken.wait_for(std::chrono::milliseconds(10)),
+            std::future_status::timeout);
+  EXPECT_EQ(b.depth(), 3u);
+  MicroBatcher::Hold moved = std::move(outer);
+  outer.release();  // moved-from: a no-op
+  EXPECT_EQ(b.depth(), 3u);
+  moved.release();
+  EXPECT_EQ(taken.get().size(), 3u);
+}
+
+TEST(MicroBatcher, CloseOverridesAnActiveHold) {
+  MicroBatcher b(2, /*capacity=*/64);
+  const MicroBatcher::Hold hold = b.hold();
+  for (std::uint64_t i = 0; i < 3; ++i) EXPECT_TRUE(b.push(make_request(i)));
+  b.close();
+  EXPECT_EQ(b.next_batch().size(), 2u);
+  EXPECT_EQ(b.next_batch().size(), 1u);
+  EXPECT_TRUE(b.next_batch().empty());
 }
 
 TEST(MicroBatcher, StatusNamesAreStable) {

@@ -6,6 +6,8 @@
 #include <chrono>
 #include <filesystem>
 #include <future>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -54,7 +56,6 @@ struct Fixture {
   ServeOptions options() const {
     ServeOptions so;
     so.max_batch = 8;
-    so.max_delay_us = 1000;
     so.workers = 2;
     so.search.k = 5;
     return so;
@@ -97,16 +98,18 @@ TEST(ServeEngine, ServedResultsMatchDirectSearch) {
 
 TEST(ServeEngine, DeterministicAcrossWorkerCountsAndBatchSizes) {
   Fixture f;
-  auto run = [&](std::size_t workers, std::size_t max_batch,
-                 std::uint64_t max_delay_us) {
+  auto run = [&](std::size_t workers, std::size_t max_batch, bool held) {
     ServeOptions so = f.options();
     so.workers = workers;
     so.max_batch = max_batch;
-    so.max_delay_us = max_delay_us;
     ServeEngine engine(f.pool, so, make_snapshot(1, f.base, f.graph));
     std::vector<std::future<QueryResult>> futs;
-    for (std::size_t qi = 0; qi < f.queries.rows(); ++qi) {
-      futs.push_back(engine.submit(f.query_vec(qi), 0, qi));
+    {
+      std::optional<MicroBatcher::Hold> hold;
+      if (held) hold.emplace(engine.hold_dispatch());
+      for (std::size_t qi = 0; qi < f.queries.rows(); ++qi) {
+        futs.push_back(engine.submit(f.query_vec(qi), 0, qi));
+      }
     }
     std::vector<QueryResult> out;
     out.reserve(futs.size());
@@ -117,11 +120,11 @@ TEST(ServeEngine, DeterministicAcrossWorkerCountsAndBatchSizes) {
     return out;
   };
 
-  // Worker count, batch cap, and work-conserving dispatch versus a 500 us
-  // linger each regroup the same tagged requests; the answers must not
-  // notice.
-  const std::vector<QueryResult> a = run(1, 32, 500);
-  for (const std::vector<QueryResult>& b : {run(4, 3, 500), run(1, 32, 0)}) {
+  // Worker count, batch cap, and a queue held until every request is in
+  // versus dispatch as requests arrive each regroup the same tagged
+  // requests; the answers must not notice.
+  const std::vector<QueryResult> a = run(1, 32, true);
+  for (const std::vector<QueryResult>& b : {run(4, 3, true), run(1, 32, false)}) {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].status, QueryStatus::kOk);
@@ -135,17 +138,73 @@ TEST(ServeEngine, DeterministicAcrossWorkerCountsAndBatchSizes) {
   }
 }
 
+TEST(ServeEngine, HeldSubmitsLeaveAsOneBatchWithUnheldAnswers) {
+  Fixture f;
+  ServeOptions so = f.options();
+  so.workers = 1;
+  so.max_batch = 32;
+  const std::size_t n = f.queries.rows();
+
+  std::vector<QueryResult> unheld;
+  {
+    ServeEngine engine(f.pool, so, make_snapshot(1, f.base, f.graph));
+    for (std::size_t qi = 0; qi < n; ++qi) {
+      unheld.push_back(engine.submit(f.query_vec(qi), 0, qi).get());
+    }
+  }
+
+  ServeEngine engine(f.pool, so, make_snapshot(1, f.base, f.graph));
+  std::vector<std::future<QueryResult>> futs;
+  {
+    const MicroBatcher::Hold hold = engine.hold_dispatch();
+    for (std::size_t qi = 0; qi < n; ++qi) {
+      futs.push_back(engine.submit(f.query_vec(qi), 0, qi));
+    }
+    EXPECT_EQ(engine.metrics().batches.value(), 0u);
+  }
+  for (std::size_t qi = 0; qi < n; ++qi) {
+    const QueryResult qr = futs[qi].get();
+    ASSERT_EQ(qr.status, QueryStatus::kOk) << qr.error;
+    EXPECT_EQ(qr.points_visited, unheld[qi].points_visited) << "query " << qi;
+    EXPECT_EQ(qr.neighbors, unheld[qi].neighbors) << "query " << qi;
+  }
+  EXPECT_EQ(engine.metrics().batch_size.count(), 1u);
+  EXPECT_EQ(engine.metrics().batch_size.max_seen(), static_cast<double>(n));
+}
+
+TEST(ServeEngine, StopWhileHeldAnswersEveryQueuedRequest) {
+  Fixture f;
+  ServeOptions so = f.options();
+  so.workers = 1;
+  ServeEngine engine(f.pool, so, make_snapshot(1, f.base, f.graph));
+  const MicroBatcher::Hold hold = engine.hold_dispatch();
+  std::vector<std::future<QueryResult>> futs;
+  for (std::size_t qi = 0; qi < f.queries.rows(); ++qi) {
+    futs.push_back(engine.submit(f.query_vec(qi), 0, qi));
+  }
+  engine.stop();  // overrides the hold: drains the queue, joins the executor
+  for (auto& fut : futs) {
+    ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    EXPECT_EQ(fut.get().status, QueryStatus::kOk);
+  }
+  EXPECT_EQ(engine.metrics().ok.value(), f.queries.rows());
+}
+
 TEST(ServeEngine, ExpiredRequestsGetTypedTimeoutsAndAreNeverExecuted) {
   Fixture f;
   ServeOptions so = f.options();
   so.workers = 1;
   so.max_batch = 1024;          // never fills
-  so.max_delay_us = 200'000;    // 200 ms flush: far past the deadlines below
   ServeEngine engine(f.pool, so, make_snapshot(1, f.base, f.graph));
 
   std::vector<std::future<QueryResult>> futs;
-  for (std::size_t qi = 0; qi < 3; ++qi) {
-    futs.push_back(engine.submit(f.query_vec(qi), /*deadline_us=*/1, qi));
+  {
+    // Dispatch is held until the 1 us deadlines below have passed.
+    const MicroBatcher::Hold hold = engine.hold_dispatch();
+    for (std::size_t qi = 0; qi < 3; ++qi) {
+      futs.push_back(engine.submit(f.query_vec(qi), /*deadline_us=*/1, qi));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   for (auto& fut : futs) {
     const QueryResult qr = fut.get();
@@ -165,13 +224,16 @@ TEST(ServeEngine, QueueFullShedsWithTypedResult) {
   ServeOptions so = f.options();
   so.workers = 1;
   so.max_batch = 1024;
-  so.max_delay_us = 200'000;  // executor holds off: queue stays occupied
   so.queue_capacity = 2;
   ServeEngine engine(f.pool, so, make_snapshot(1, f.base, f.graph));
 
   std::vector<std::future<QueryResult>> futs;
-  for (std::size_t qi = 0; qi < 6; ++qi) {
-    futs.push_back(engine.submit(f.query_vec(qi % f.queries.rows()), 0, qi));
+  {
+    // Executor held off: the queue stays occupied while all six arrive.
+    const MicroBatcher::Hold hold = engine.hold_dispatch();
+    for (std::size_t qi = 0; qi < 6; ++qi) {
+      futs.push_back(engine.submit(f.query_vec(qi % f.queries.rows()), 0, qi));
+    }
   }
   std::size_t ok = 0;
   std::size_t shed = 0;
@@ -257,9 +319,7 @@ TEST(ServeEngine, RejectsMismatchedQueryDimension) {
 
 TEST(ServeEngine, DrainWaitsForAllAcceptedRequests) {
   Fixture f;
-  ServeOptions so = f.options();
-  so.max_delay_us = 2000;
-  ServeEngine engine(f.pool, so, make_snapshot(1, f.base, f.graph));
+  ServeEngine engine(f.pool, f.options(), make_snapshot(1, f.base, f.graph));
   std::vector<std::future<QueryResult>> futs;
   for (std::size_t qi = 0; qi < f.queries.rows(); ++qi) {
     futs.push_back(engine.submit(f.query_vec(qi), 0, qi));

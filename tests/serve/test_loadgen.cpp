@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -41,7 +43,6 @@ struct Fixture {
   ServeOptions options() const {
     ServeOptions so;
     so.max_batch = 8;
-    so.max_delay_us = 1000;
     so.workers = 2;
     so.search.k = 5;
     return so;
@@ -131,15 +132,27 @@ TEST(LoadGen, ForcedOverloadExercisesTheDeadlinePath) {
   ServeOptions so = f.options();
   so.workers = 1;
   so.max_batch = 1024;
-  so.max_delay_us = 100'000;  // 100 ms flush >> the 1 ms deadlines below
   ServeEngine engine(f.pool, so, make_snapshot(1, f.base, f.graph));
 
   LoadGenConfig cfg;
   cfg.mode = LoadGenConfig::Mode::kClosed;
   cfg.requests = 8;
-  cfg.concurrency = 8;  // every thread's single request sits out the delay
+  cfg.concurrency = 8;  // every thread's single request sits out the hold
   cfg.deadline_us = 1000;
+
+  // Dispatch is held until all eight requests are in and their 1 ms
+  // deadlines have passed. Each request is stamped before it is counted, so
+  // whatever dispatches after the release is past its deadline.
+  MicroBatcher::Hold hold = engine.hold_dispatch();
+  std::thread releaser([&] {
+    while (engine.metrics().enqueued.value() < cfg.requests) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    hold.release();
+  });
   const LoadGenReport rep = run_load(engine, f.queries, cfg);
+  releaser.join();
 
   EXPECT_EQ(rep.requests, 8u);
   EXPECT_EQ(rep.timed_out, 8u);

@@ -8,11 +8,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -59,7 +61,6 @@ struct Fixture {
   ServeOptions options() const {
     ServeOptions so;
     so.max_batch = 8;
-    so.max_delay_us = 1000;
     so.workers = 2;
     so.search.k = 5;
     return so;
@@ -210,15 +211,18 @@ TEST(SloServe, ReplayProducesBitIdenticalQualityPlane) {
 TEST(SloServe, ShedAndDeadlineResponsesCarrySnapshotVersion) {
   Fixture f;
   {
-    // Deadline path: the flush timer is far past the 1us deadlines.
+    // Deadline path: dispatch is held until the 1us deadlines have passed.
     ServeOptions so = f.options();
     so.workers = 1;
     so.max_batch = 1024;
-    so.max_delay_us = 200'000;
     ServeEngine engine(f.pool, so, make_snapshot(3, f.base, f.graph));
     std::vector<std::future<QueryResult>> futs;
-    for (std::size_t qi = 0; qi < 3; ++qi) {
-      futs.push_back(engine.submit(f.query_vec(qi), /*deadline_us=*/1, qi));
+    {
+      const MicroBatcher::Hold hold = engine.hold_dispatch();
+      for (std::size_t qi = 0; qi < 3; ++qi) {
+        futs.push_back(engine.submit(f.query_vec(qi), /*deadline_us=*/1, qi));
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     for (auto& fut : futs) {
       const QueryResult qr = fut.get();
@@ -227,16 +231,19 @@ TEST(SloServe, ShedAndDeadlineResponsesCarrySnapshotVersion) {
     }
   }
   {
-    // Overload path: capacity 2, six submits, four typed sheds.
+    // Overload path: capacity 2, six submits while dispatch is held, four
+    // typed sheds.
     ServeOptions so = f.options();
     so.workers = 1;
     so.max_batch = 1024;
-    so.max_delay_us = 200'000;
     so.queue_capacity = 2;
     ServeEngine engine(f.pool, so, make_snapshot(9, f.base, f.graph));
     std::vector<std::future<QueryResult>> futs;
-    for (std::size_t qi = 0; qi < 6; ++qi) {
-      futs.push_back(engine.submit(f.query_vec(qi), 0, qi));
+    {
+      const MicroBatcher::Hold hold = engine.hold_dispatch();
+      for (std::size_t qi = 0; qi < 6; ++qi) {
+        futs.push_back(engine.submit(f.query_vec(qi), 0, qi));
+      }
     }
     std::size_t shed = 0;
     for (auto& fut : futs) {

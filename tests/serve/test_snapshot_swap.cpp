@@ -61,7 +61,6 @@ TEST(SnapshotSwap, ConcurrentQueriesAreConsistentWithSomePublishedSnapshot) {
 
   ServeOptions so;
   so.max_batch = 4;
-  so.max_delay_us = 500;
   so.workers = 2;
   so.search.k = 5;
   ServeEngine engine(pool, so, archive_current());
