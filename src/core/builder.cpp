@@ -453,11 +453,13 @@ BuildResult KnngBuilder::run(const FloatMatrix& points,
     cur_phase.emplace(tr, "leaf", acc);
 
     // kShared feasibility preflight: if the largest bucket cannot hold its
-    // scratch-resident k-NN sets, degrade the whole pass to kTiled up front
-    // instead of throwing — the paper's space limitation handled as policy.
+    // scratch-resident k-NN sets (and, under sq8, the staged query), degrade
+    // the whole pass to kTiled up front instead of throwing — the paper's
+    // space limitation handled as policy.
     if (effective == Strategy::kShared) {
       const std::size_t need =
-          forest.max_bucket_size() * k_build * sizeof(std::uint64_t) + 1024;
+          forest.max_bucket_size() * k_build * sizeof(std::uint64_t) +
+          (use_sq8 ? pts.cols() * sizeof(float) : 0) + 1024;
       if (need > params_.scratch_bytes) {
         effective = Strategy::kTiled;
         std::ostringstream os;

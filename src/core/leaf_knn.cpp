@@ -32,7 +32,9 @@ void bucket_pairwise(Warp& w, const FloatMatrix& points,
                      KnnSetArray& sets, const kernels::Sq8View* sq8) {
   const std::size_t m = ids.size();
   const bool use_sq8 = sq8 != nullptr && sq8->valid();
-  std::vector<float> wbuf;
+  // Compressed tier: each query row is prepared into one scratch slice.
+  std::span<float> staged;
+  if (use_sq8 && m >= 2) staged = w.scratch().alloc<float>(points.cols());
   for (std::size_t a = 0; a + 1 < m; ++a) {
     simt::fault_maybe_throw(simt::FaultSite::kWarpAbort);  // mid-bucket kill
     const std::uint32_t ia = ids[a];
@@ -42,7 +44,7 @@ void bucket_pairwise(Warp& w, const FloatMatrix& points,
       // fp32 row read); every partner streams its 1-byte/dim code row. Both
       // directions share the one asymmetric distance, like the fp32 kernel.
       const kernels::Sq8Query q =
-          simt::warp_sq8_prepare(w, xa, sq8->codebook(), wbuf);
+          simt::warp_sq8_prepare(w, xa, sq8->codebook(), staged);
       for (std::size_t b = a + 1; b < m; ++b) {
         const std::uint32_t ib = ids[b];
         const float dist = simt::warp_sq8_l2_dims(w, q, sq8->row(ib));
@@ -107,17 +109,24 @@ void bucket_shared(Warp& w, const FloatMatrix& points,
   const std::size_t m = ids.size();
   if (m < 2) return;
   const std::size_t k = sets.k();
+  const bool use_sq8 = sq8 != nullptr && sq8->valid();
+  const std::size_t staged_dims = use_sq8 ? points.cols() : 0;
 
-  if (m * k * sizeof(std::uint64_t) + 1024 > w.scratch().capacity()) {
+  const std::size_t need =
+      m * k * sizeof(std::uint64_t) + staged_dims * sizeof(float);
+  if (need + 1024 > w.scratch().capacity()) {
     std::ostringstream os;
     os << "shared-memory strategy infeasible: bucket of " << m << " points x k="
-       << k << " needs " << m * k * sizeof(std::uint64_t)
-       << " B of scratch (capacity " << w.scratch().capacity()
+       << k << " needs " << need << " B of scratch (capacity "
+       << w.scratch().capacity()
        << " B) — use a global-memory strategy (this is the limitation "
           "the paper's w-KNNG strategies remove)";
     throw ScratchOverflowError(os.str());
   }
   auto local = w.scratch().alloc<std::uint64_t>(m * k);
+  // Compressed tier: each query row is prepared into one scratch slice.
+  std::span<float> staged;
+  if (use_sq8) staged = w.scratch().alloc<float>(staged_dims);
   std::fill(local.begin(), local.end(), Packed::kEmpty);
 
   // Scratch-set insert: replace-worst scan, no locks, no global traffic.
@@ -132,14 +141,12 @@ void bucket_shared(Warp& w, const FloatMatrix& points,
     if (cand < row[worst]) row[worst] = cand;
   };
 
-  const bool use_sq8 = sq8 != nullptr && sq8->valid();
-  std::vector<float> wbuf;
   for (std::size_t a = 0; a + 1 < m; ++a) {
     simt::fault_maybe_throw(simt::FaultSite::kWarpAbort);  // mid-bucket kill
     auto xa = points.row(ids[a]);
     if (use_sq8) {
       const kernels::Sq8Query q =
-          simt::warp_sq8_prepare(w, xa, sq8->codebook(), wbuf);
+          simt::warp_sq8_prepare(w, xa, sq8->codebook(), staged);
       for (std::size_t b = a + 1; b < m; ++b) {
         const float dist = simt::warp_sq8_l2_dims(w, q, sq8->row(ids[b]));
         insert_local(a, Packed::make(dist, ids[b]));

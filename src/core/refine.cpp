@@ -10,6 +10,7 @@
 #include "simt/launch.hpp"
 #include "simt/packed.hpp"
 #include "simt/sort.hpp"
+#include "simt/visited.hpp"
 #include "simt/warp_distance.hpp"
 
 namespace wknng::core {
@@ -63,51 +64,55 @@ Adjacency snapshot_adjacency(ThreadPool& pool, const KnnSetArray& sets,
   return adj;
 }
 
-namespace {
-
-/// Gathers, dedups and prunes the candidate ids for point p into scratch.
-/// Returns the candidate span (possibly empty). Candidate order — and hence
-/// the sampled subset — is deterministic: a sorted-unique set minus current
-/// neighbors, truncated to the sample budget.
 std::span<std::uint32_t> gather_candidates(Warp& w, const Adjacency& adj,
                                            std::uint32_t p,
                                            std::size_t sample_cap) {
   const auto fwd_p = adj.forward(p);
   const auto rev_p = adj.reverse(p);
 
-  // Upper bound on raw candidates: every base neighbor contributes up to k.
+  // Every base neighbor contributes up to k raw ids, and no id survives the
+  // dedup twice; the second half of the buffer is the radix sort's ping-pong.
   const std::size_t base = fwd_p.size() + rev_p.size();
-  const std::size_t raw_cap = base * adj.k;
-  auto buf = w.scratch().alloc<std::uint32_t>(raw_cap);
+  const std::size_t unique_cap = std::min(base * adj.k, adj.n);
+  auto buf = w.scratch().alloc<std::uint32_t>(2 * unique_cap);
 
+  // p and its current forward neighbors are marked first: they are already
+  // in p's set, so they never become candidates.
+  simt::VisitedBitmap& seen = simt::thread_visited(adj.n);
+  seen.mark(p);
+  for (std::uint32_t q : fwd_p) seen.mark(q);
+
+  std::size_t raw = 0;
   std::size_t count = 0;
+  std::uint32_t max_id = 0;
   auto push_neighbors_of = [&](std::uint32_t q) {
-    for (std::uint32_t r : adj.forward(q)) {
-      if (r != p) buf[count++] = r;
+    const auto nq = adj.forward(q);
+    for (std::uint32_t r : nq) {
+      if (seen.mark(r)) {
+        buf[count++] = r;
+        max_id = std::max(max_id, r);
+      }
     }
-    w.count_read(adj.forward(q).size() * sizeof(std::uint32_t));
+    raw += nq.size();
+    w.count_read(nq.size() * sizeof(std::uint32_t));
   };
   for (std::uint32_t q : fwd_p) push_neighbors_of(q);
   for (std::uint32_t q : rev_p) push_neighbors_of(q);
   w.count_read((fwd_p.size() + rev_p.size()) * sizeof(std::uint32_t));
+  // Per 32-id tile the lanes test-and-set their ids' bits and one ballot
+  // compacts the first sightings into the buffer.
+  w.stats().warp_collectives += (raw + kWarpSize - 1) / kWarpSize;
 
-  // Dedup (warp sort + unique in scratch).
-  std::span<std::uint32_t> cands(buf.data(), count);
-  simt::sort_scratch(w, cands);
-  auto new_end = std::unique(cands.begin(), cands.end());
-  count = static_cast<std::size_t>(new_end - cands.begin());
+  std::span<std::uint32_t> cands = buf.subspan(0, count);
+  seen.unmark(p);
+  seen.unmark(fwd_p);
+  seen.unmark(cands);
 
-  // Remove p's current forward neighbors (already in the set; scanning here
-  // is cheaper than burning a distance evaluation on them).
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint32_t r = cands[i];
-    const bool known = std::find(fwd_p.begin(), fwd_p.end(), r) != fwd_p.end();
-    if (!known) cands[kept++] = r;
-  }
-  count = std::min(kept, sample_cap);
-  return cands.subspan(0, count);
+  simt::radix_sort_scratch(w, cands, buf.subspan(count, count), max_id);
+  return cands.subspan(0, std::min(count, sample_cap));
 }
+
+namespace {
 
 void refine_point_pairwise(Warp& w, const FloatMatrix& points,
                            std::span<const std::uint32_t> cands,
@@ -115,9 +120,8 @@ void refine_point_pairwise(Warp& w, const FloatMatrix& points,
                            KnnSetArray& sets, const kernels::Sq8View* sq8) {
   auto xp = points.row(p);
   if (sq8 != nullptr && sq8->valid()) {
-    std::vector<float> wbuf;
-    const kernels::Sq8Query q =
-        simt::warp_sq8_prepare(w, xp, sq8->codebook(), wbuf);
+    const kernels::Sq8Query q = simt::warp_sq8_prepare(
+        w, xp, sq8->codebook(), w.scratch().alloc<float>(xp.size()));
     for (std::uint32_t r : cands) {
       const float dist = simt::warp_sq8_l2_dims(w, q, sq8->row(r));
       sets.insert(w, strategy, p, Packed::make(dist, r));
@@ -136,9 +140,11 @@ void refine_point_tiled(Warp& w, const FloatMatrix& points,
                         const kernels::Sq8View* sq8) {
   auto xp = points.row(p);
   const bool use_sq8 = sq8 != nullptr && sq8->valid();
-  std::vector<float> wbuf;
   kernels::Sq8Query q;
-  if (use_sq8) q = simt::warp_sq8_prepare(w, xp, sq8->codebook(), wbuf);
+  if (use_sq8) {
+    q = simt::warp_sq8_prepare(w, xp, sq8->codebook(),
+                               w.scratch().alloc<float>(xp.size()));
+  }
   for (std::size_t t0 = 0; t0 < cands.size(); t0 += kWarpSize) {
     const std::size_t cnt = std::min<std::size_t>(kWarpSize, cands.size() - t0);
     Lanes<std::uint32_t> ids{};
@@ -203,17 +209,17 @@ std::size_t refine_round(ThreadPool& pool, const FloatMatrix& points,
     }
   };
 
-  // Scratch needs room for the raw candidate gather plus the tiled kernel's
-  // merge buffer. The gather bound is (max fwd+rev degree) * k ids.
+  // Scratch needs room for the candidate gather plus the tiled kernel's
+  // merge buffer. A gather holds at most (max fwd+rev degree) * k ids.
   std::size_t max_rev = 0;
   for (std::size_t p = 0; p < n; ++p) {
     max_rev = std::max<std::size_t>(
         max_rev, adj.rev_offsets[p + 1] - adj.rev_offsets[p]);
   }
-  const std::size_t gather_bytes =
-      (adj.k + max_rev) * adj.k * sizeof(std::uint32_t) + 4096;
+  const std::size_t gather_ids = (adj.k + max_rev) * adj.k;
   simt::LaunchConfig config;
-  config.scratch_bytes = std::max(params.scratch_bytes, gather_bytes);
+  config.scratch_bytes = std::max(
+      params.scratch_bytes, gather_ids * sizeof(std::uint32_t) + 4096);
   config.grain = 16;
   config.schedule = params.schedule;
 
@@ -244,6 +250,13 @@ std::size_t refine_round(ThreadPool& pool, const FloatMatrix& points,
     return skipped.load(std::memory_order_relaxed);
   }
 
+  // The expand gather keeps at most min(gather_ids, n) unique ids plus as
+  // many for the radix sort's ping-pong half; SQ8 also stages the prepared
+  // query.
+  config.scratch_bytes = std::max(
+      params.scratch_bytes,
+      2 * std::min(gather_ids, n) * sizeof(std::uint32_t) +
+          (use_sq8 ? points.cols() * sizeof(float) : 0) + 4096);
   config.trace_label = "refine_expand";
   simt::launch_warps(pool, n, config, acc, [&](Warp& w) {
     guarded([&] {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/matrix.hpp"
@@ -9,6 +10,7 @@
 #include "core/params.hpp"
 #include "kernels/sq8.hpp"
 #include "simt/stats.hpp"
+#include "simt/warp.hpp"
 
 namespace wknng::core {
 
@@ -39,11 +41,28 @@ struct Adjacency {
 Adjacency snapshot_adjacency(ThreadPool& pool, const KnnSetArray& sets,
                              std::size_t reverse_cap);
 
+/// The candidate gather of one refine_round point, in warp scratch: the
+/// neighbors of p's forward and reverse neighbors, without p, without p's
+/// current forward neighbors and without duplicates, in ascending id order,
+/// truncated to the first `sample_cap`. Adjacency ids must be below adj.n.
+///
+/// Dedup runs on the worker's visited bitmap (simt/visited.hpp): p and its
+/// forward neighbors are marked first, a raw id is kept only on its first
+/// mark, and every mark is undone before returning. The unique survivors are
+/// then radix-sorted, so the raw list is never comparison-sorted. The order
+/// is ascending on purpose: it decides which candidates survive the cap (the
+/// lowest ids) and which scored candidate each per-warp fault-injection
+/// opportunity lands on. Any other order would change graphs built with a
+/// capped sample or under injection.
+std::span<std::uint32_t> gather_candidates(simt::Warp& w, const Adjacency& adj,
+                                           std::uint32_t p,
+                                           std::size_t sample_cap);
+
 /// One neighbor-of-neighbor refinement round (NN-Descent-style local join):
 /// one warp per point p gathers the neighbors of p's forward+reverse
-/// neighbors, dedups them in scratch, drops p's current neighbors, then
-/// scores at most `params.refine_sample` candidates with the strategy's
-/// kernel shape and submits them to p's k-NN set.
+/// neighbors (gather_candidates), then scores at most `params.refine_sample`
+/// candidates with the strategy's kernel shape and submits them to p's k-NN
+/// set.
 ///
 /// Updates flow only into p's own set, so a round is deterministic for the
 /// lock-based strategies regardless of warp scheduling.

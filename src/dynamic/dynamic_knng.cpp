@@ -16,6 +16,7 @@
 #include "opt/optimize.hpp"
 #include "simt/launch.hpp"
 #include "simt/packed.hpp"
+#include "simt/visited.hpp"
 #include "simt/warp_distance.hpp"
 
 namespace wknng::dynamic {
@@ -485,39 +486,52 @@ std::size_t DynamicKnng::apply_repair(std::size_t rounds, bool replaying) {
       // re-offers an id the row already holds: a duplicate word in a sorted
       // row would let a later merge free its slot, raise the row's worst
       // bound and make the tiled prune depend on insert order.
-      std::vector<std::uint8_t> seen(points_.rows(), 0);
-      seen[p] = 1;
+      const std::size_t rows = points_.rows();
+      simt::VisitedBitmap& seen = simt::thread_visited(rows);
+      seen.mark(p);
       TopK best(k);
       const std::uint64_t* slots = sets_.row(p);
-      for (std::size_t s = 0; s < k; ++s) {
+      const auto live_id = [&](std::size_t s) {
         const std::uint64_t v = slots[s];
-        if (Packed::is_empty(v) || !Packed::is_finite(v)) continue;
-        const std::uint32_t id = Packed::id(v);
-        if (id >= points_.rows() || seen[id] != 0 || tombstone_[id] != 0) {
-          continue;
-        }
-        seen[id] = 1;
-        best.push(Packed::dist(v), id);
+        return Packed::is_empty(v) || !Packed::is_finite(v)
+                   ? core::Adjacency::kInvalidId
+                   : Packed::id(v);
+      };
+      for (std::size_t s = 0; s < k; ++s) {
+        const std::uint32_t id = live_id(s);
+        if (id >= rows || tombstone_[id] != 0 || !seen.mark(id)) continue;
+        best.push(Packed::dist(slots[s]), id);
       }
       w.count_read(k * sizeof(std::uint64_t));
 
-      // Rescore the candidate pool, take the k best of the union.
+      // Rescore the candidate pool (first-seen order), take the k best of
+      // the union.
+      const auto for_each_pool_id = [&](auto&& visit) {
+        for (const std::uint32_t q : adj.forward(p)) visit(q);
+        for (const std::uint32_t q : adj.reverse(p)) visit(q);
+        for (const std::uint32_t q : adj.forward(p)) {
+          for (const std::uint32_t r : adj.forward(q)) visit(r);
+        }
+        for (const std::uint32_t q : adj.reverse(p)) {
+          for (const std::uint32_t r : adj.forward(q)) visit(r);
+        }
+      };
       std::vector<std::uint32_t> cand;
       cand.reserve(sample_cap);
-      auto consider = [&](std::uint32_t c) {
-        if (c >= seen.size() || seen[c] != 0) return;
-        seen[c] = 1;
+      for_each_pool_id([&](std::uint32_t c) {
+        if (c >= rows || !seen.mark(c)) return;
         if (tombstone_[c] != 0) return;  // lazy expansion exclusion
         if (cand.size() < sample_cap) cand.push_back(c);
-      };
-      for (const std::uint32_t q : adj.forward(p)) consider(q);
-      for (const std::uint32_t q : adj.reverse(p)) consider(q);
-      for (const std::uint32_t q : adj.forward(p)) {
-        for (const std::uint32_t r : adj.forward(q)) consider(r);
+      });
+      // Every bit set above belongs to p, a row id or a pool id: clearing
+      // them all leaves the worker's bitmap all-clear again.
+      seen.unmark(p);
+      for (std::size_t s = 0; s < k; ++s) {
+        if (live_id(s) < rows) seen.unmark(live_id(s));
       }
-      for (const std::uint32_t q : adj.reverse(p)) {
-        for (const std::uint32_t r : adj.forward(q)) consider(r);
-      }
+      for_each_pool_id([&](std::uint32_t c) {
+        if (c < rows) seen.unmark(c);
+      });
 
       const auto query = points_.row(p);
       for (std::size_t t0 = 0; t0 < cand.size(); t0 += kWarpSize) {

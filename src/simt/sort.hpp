@@ -1,8 +1,12 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
+#include <type_traits>
+
+#include "common/error.hpp"
 
 #include "simt/warp.hpp"
 
@@ -80,6 +84,49 @@ inline void sort_scratch(Warp& w, std::span<T> data) {
   for (std::size_t n = 1; n < data.size(); n <<= 1) ++depth;
   w.stats().warp_collectives += depth * depth * ((data.size() + kWarpSize - 1) / kWarpSize);
   std::sort(data.begin(), data.end());
+}
+
+/// Warp-cooperative LSD radix sort of unsigned keys in scratch (ascending),
+/// 8-bit digits, with only as many passes as `max_key` (the largest key in
+/// `data`) needs. `tmp` must hold data.size() keys; it is the ping-pong
+/// buffer of the passes. No key is compared with another, so the cost is
+/// linear in the key count.
+///
+/// Modelled cost per pass: a 256-bin scratch histogram (one match collective
+/// per 32-key tile), a 5-step warp scan over the bins (each lane owns 8), and
+/// a ranked scatter (a second collective per tile).
+template <typename T>
+inline void radix_sort_scratch(Warp& w, std::span<T> data, std::span<T> tmp,
+                               T max_key) {
+  static_assert(std::is_unsigned_v<T>);
+  const std::size_t n = data.size();
+  if (n < 2) return;
+  WKNNG_CHECK(tmp.size() >= n);
+  std::size_t passes = 0;
+  for (T rest = max_key; rest != 0; rest = static_cast<T>(rest >> 8)) {
+    ++passes;
+  }
+  const std::size_t tiles = (n + kWarpSize - 1) / kWarpSize;
+  w.stats().warp_collectives += passes * (2 * tiles + 5);
+
+  T* src = data.data();
+  T* dst = tmp.data();
+  for (std::size_t pass = 0; pass < passes; ++pass) {
+    const unsigned shift = static_cast<unsigned>(8 * pass);
+    std::array<std::uint32_t, 256> offset{};
+    for (std::size_t i = 0; i < n; ++i) ++offset[(src[i] >> shift) & 0xFF];
+    std::uint32_t sum = 0;
+    for (std::uint32_t& bin : offset) {
+      const std::uint32_t c = bin;
+      bin = sum;
+      sum += c;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[offset[(src[i] >> shift) & 0xFF]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != data.data()) std::copy(src, src + n, data.data());
 }
 
 }  // namespace wknng::simt

@@ -98,16 +98,26 @@ inline Lanes<float> warp_l2_batch(Warp& w, std::span<const float> q,
 // bandwidth lever of the compressed storage tier. The fault hook still fires
 // once per produced distance.
 
-/// Prepares `query` for asymmetric scoring and charges the one fp32 row read
-/// (plus the centering/pre-scale arithmetic) the modeled warp performs to
-/// stage the query in registers/scratch.
+/// Prepares `query` for asymmetric scoring into `w_out` (query.size() floats,
+/// typically a warp-scratch slice) and charges the one fp32 row read (plus
+/// the centering/pre-scale arithmetic) the modeled warp performs to stage
+/// the query in registers/scratch.
+inline kernels::Sq8Query warp_sq8_prepare(Warp& w, std::span<const float> query,
+                                          const kernels::Sq8Codebook& codebook,
+                                          std::span<float> w_out) {
+  const std::size_t dim = query.size();
+  WKNNG_CHECK(w_out.size() >= dim);
+  w.stats().flops += 3 * dim;
+  w.count_read(dim * sizeof(float));
+  return kernels::sq8_prepare_into(query, codebook, w_out.data());
+}
+
+/// Same, staging into a caller-owned vector (resized to the dimension).
 inline kernels::Sq8Query warp_sq8_prepare(Warp& w, std::span<const float> query,
                                           const kernels::Sq8Codebook& codebook,
                                           std::vector<float>& w_buf) {
-  const std::size_t dim = query.size();
-  w.stats().flops += 3 * dim;
-  w.count_read(dim * sizeof(float));
-  return kernels::sq8_prepare(query, codebook, w_buf);
+  w_buf.resize(query.size());
+  return warp_sq8_prepare(w, query, codebook, std::span<float>(w_buf));
 }
 
 /// Pair shape: one prepared query against one code row (the sq8 analogue of

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <limits>
 #include <unordered_set>
@@ -19,6 +20,8 @@
 #include "data/wal.hpp"
 #include "exact/brute_force.hpp"
 #include "exact/recall.hpp"
+#include "simt/launch.hpp"
+#include "simt/visited.hpp"
 #include "support/temp_dir.hpp"
 
 namespace wknng::dynamic {
@@ -520,6 +523,34 @@ TEST(DynamicKnng, RepairRefillsRowsWithDistinctNeighbors) {
   }
   ASSERT_EQ(live, 225u);  // ids 300..316 do not exist: 75 erased
   EXPECT_LE(short_rows, live / 20) << short_rows << " of " << live;
+  fs::remove_all(dir);
+}
+
+// Repair dedups each row's candidate pool on the worker's visited bitmap
+// and must clear every bit it set: afterwards a launch on the same pool finds
+// every worker's bitmap clear, across two repair passes over a grown index.
+TEST(DynamicKnng, RepairLeavesEveryWorkerBitmapClear) {
+  ThreadPool pool(3);
+  const auto dir = testing::unique_test_dir("dyn_bitmap");
+  const FloatMatrix base = base_300();
+  DynamicKnng dyn(pool, small_params(), base, dir.string(), manual());
+
+  const auto dirty_bitmaps = [&] {
+    std::atomic<std::size_t> dirty{0};
+    const std::size_t rows = dyn.snapshot()->graph.num_points();
+    simt::launch_warps(pool, 256, nullptr, [&](simt::Warp&) {
+      if (!simt::thread_visited(rows).all_clear()) dirty.fetch_add(1);
+    });
+    return dirty.load();
+  };
+  for (int pass = 0; pass < 2; ++pass) {
+    dyn.insert(batch_near(base, 40, 21 + pass));
+    std::vector<std::uint32_t> victims;
+    for (std::uint32_t v = 0; v < 10; ++v) victims.push_back(v * 11 + pass);
+    dyn.erase(victims);
+    EXPECT_GT(dyn.repair(), 0u);
+    EXPECT_EQ(dirty_bitmaps(), 0u) << "pass " << pass;
+  }
   fs::remove_all(dir);
 }
 

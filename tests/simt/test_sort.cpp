@@ -8,6 +8,7 @@
 
 #include "common/rng.hpp"
 #include "simt/packed.hpp"
+#include "simt/visited.hpp"
 
 namespace wknng::simt {
 namespace {
@@ -180,6 +181,83 @@ TEST_F(SortTest, SortScratchEmptyAndSingle) {
   std::vector<std::uint32_t> one = {42};
   sort_scratch<std::uint32_t>(warp_, one);
   EXPECT_EQ(one[0], 42u);
+}
+
+// Radix sort: one key width per digit count (1..4 bytes), duplicates, and
+// the ping-pong buffer holding the result after an odd pass count.
+TEST_F(SortTest, RadixMatchesStdSortForEveryDigitCount) {
+  Rng rng(8);
+  for (const std::uint64_t bound :
+       {std::uint64_t{200}, std::uint64_t{60000}, std::uint64_t{1} << 24,
+        std::uint64_t{1} << 32}) {
+    for (const std::size_t n : {std::size_t{2}, std::size_t{31},
+                                std::size_t{1000}}) {
+      std::vector<std::uint32_t> v(n);
+      for (auto& x : v) x = static_cast<std::uint32_t>(rng.next_below(bound));
+      v[0] = static_cast<std::uint32_t>(bound - 1);  // pins the pass count
+      std::vector<std::uint32_t> tmp(n);
+      std::vector<std::uint32_t> expect = v;
+      std::sort(expect.begin(), expect.end());
+      radix_sort_scratch<std::uint32_t>(warp_, v, tmp, expect.back());
+      EXPECT_EQ(v, expect) << "bound " << bound << " n " << n;
+    }
+  }
+}
+
+TEST_F(SortTest, RadixHandlesDuplicatesZerosAndTinyInputs) {
+  std::vector<std::uint32_t> dup = {7, 0, 7, 300, 0, 300, 7};
+  std::vector<std::uint32_t> tmp(dup.size());
+  radix_sort_scratch<std::uint32_t>(warp_, dup, tmp, 300);
+  EXPECT_EQ(dup, (std::vector<std::uint32_t>{0, 0, 7, 7, 7, 300, 300}));
+
+  std::vector<std::uint32_t> zeros(5, 0);
+  radix_sort_scratch<std::uint32_t>(warp_, zeros, tmp, 0);
+  EXPECT_EQ(zeros, std::vector<std::uint32_t>(5, 0));
+
+  std::vector<std::uint32_t> one = {42};
+  radix_sort_scratch<std::uint32_t>(warp_, one, {}, 42);
+  EXPECT_EQ(one[0], 42u);
+}
+
+TEST_F(SortTest, RadixChargesPassesTimesTiles) {
+  // 40 keys below 2^16: two 8-bit passes over two 32-key tiles, each pass
+  // a histogram and a scatter collective per tile plus a 5-step bin scan.
+  std::vector<std::uint32_t> v(40);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = static_cast<std::uint32_t>(65535 - 1000 * i);
+  }
+  std::vector<std::uint32_t> tmp(v.size());
+  const auto before = stats_.warp_collectives;
+  radix_sort_scratch<std::uint32_t>(warp_, v, tmp, 65535);
+  EXPECT_EQ(stats_.warp_collectives - before, 2u * (2u * 2u + 5u));
+  EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
+}
+
+TEST(VisitedBitmap, MarkReportsFirstVisitAndUnmarkRestoresClear) {
+  VisitedBitmap seen;
+  seen.reserve(130);
+  EXPECT_TRUE(seen.mark(0));
+  EXPECT_TRUE(seen.mark(129));
+  EXPECT_FALSE(seen.mark(129));
+  EXPECT_TRUE(seen.mark(64));
+  EXPECT_FALSE(seen.all_clear());
+  const std::vector<std::uint32_t> marked = {0, 64, 129};
+  seen.unmark(marked);
+  EXPECT_TRUE(seen.all_clear());
+}
+
+TEST(VisitedBitmap, GrowthKeepsMarksAndAddsClearBits) {
+  VisitedBitmap seen;
+  seen.reserve(10);
+  seen.mark(9);
+  seen.reserve(100000);
+  EXPECT_FALSE(seen.mark(9));
+  EXPECT_TRUE(seen.mark(99999));
+  seen.reserve(5);  // never shrinks
+  EXPECT_FALSE(seen.mark(99999));
+  seen.unmark(9);
+  seen.unmark(99999);
+  EXPECT_TRUE(seen.all_clear());
 }
 
 }  // namespace
