@@ -91,17 +91,20 @@ void BM_MergeSortedRun(benchmark::State& state) {
 }
 BENCHMARK(BM_MergeSortedRun)->Arg(10)->Arg(20)->Arg(40)->Arg(80);
 
+// The pair shape of RowScorer over fp32 rows: one query row against row 1.
 void BM_WarpL2Dims(benchmark::State& state) {
   Fixture f;
   const std::size_t dim = static_cast<std::size_t>(state.range(0));
   Rng rng(3);
-  std::vector<float> x(dim), y(dim);
+  FloatMatrix rows(2, dim);
   for (std::size_t d = 0; d < dim; ++d) {
-    x[d] = rng.next_float();
-    y[d] = rng.next_float();
+    rows.row(0)[d] = rng.next_float();
+    rows.row(1)[d] = rng.next_float();
   }
+  const RowScorer scorer(rows);
+  const RowScorer::Query q = scorer.prepare(f.warp_, rows.row(0), {});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(warp_l2_dims(f.warp_, x, y));
+    benchmark::DoNotOptimize(scorer.pair(f.warp_, q, 1));
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["dim"] = static_cast<double>(dim);

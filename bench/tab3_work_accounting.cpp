@@ -23,9 +23,9 @@ const data::DatasetSpec kSpec = clustered(4096, 64);
 // Every distance evaluation reads at most two coordinate rows (pair kernel)
 // and, amortized, at least 1/32 of a row (a 32x32 tile charges 64 staged rows
 // for up to 1024 evaluations). Read traffic outside those bounds means the
-// byte accounting regressed — e.g. the old warp_l2_batch bug that charged the
-// query row even when every lane was inactive. Abort rather than publish a
-// table whose bytes column is fiction.
+// byte accounting regressed — e.g. an old candidate-parallel kernel bug
+// that charged the query row even when every lane was inactive. Abort rather
+// than publish a table whose bytes column is fiction.
 void assert_work_accounted(const char* label, std::uint64_t dist_evals,
                            std::uint64_t read_bytes, std::size_t dim) {
   const double row_bytes = static_cast<double>(dim) * sizeof(float);

@@ -1083,9 +1083,7 @@ int main(int argc, char** argv) {
       std::vector<float> sq8_terms;
       kernels::Sq8View sq8_view;
       if (result.sq8 != nullptr) {
-        if (!kernels::strict_mode()) {
-          sq8_terms = kernels::sq8_code_terms(*result.sq8);
-        }
+        sq8_terms = kernels::sq8_term_cache(*result.sq8);
         sq8_view = {result.sq8.get(), sq8_terms};
       }
       core::SearchStats sstats;

@@ -339,9 +339,6 @@ BuildResult KnngBuilder::run(const FloatMatrix& points,
       use_sq8 ? effective_rerank_depth(params_.k, params_.rerank_depth)
               : params_.k;
   std::shared_ptr<const kernels::Sq8Matrix> sq8_matrix;
-  std::vector<float> sq8_terms;
-  kernels::Sq8View sq8_view;
-  const kernels::Sq8View* sq8 = nullptr;
   if (use_sq8) {
     if (ckpt != nullptr && ckpt->sq8 != nullptr) {
       // Resume scores against the exact codes the checkpointed state was
@@ -357,17 +354,19 @@ BuildResult KnngBuilder::run(const FloatMatrix& points,
       sq8_matrix =
           std::make_shared<const kernels::Sq8Matrix>(kernels::sq8_encode(pts));
     }
-    // Per-row term cache for the SIMD backends' expanded form; the strict
-    // scalar backend ignores terms, so skip the pass there.
-    if (!kernels::strict_mode()) {
-      sq8_terms = kernels::sq8_code_terms(*sq8_matrix);
-    }
-    sq8_view.matrix = sq8_matrix.get();
-    sq8_view.terms = sq8_terms;
-    sq8 = &sq8_view;
     result.sq8 = sq8_matrix;
     result.rerank_depth_used = k_build;
   }
+  // The build's scorers, each cache computed once: candidate generation
+  // (leaf and refine) scores through the codes when compressed, and the
+  // exact scorer serves the rerank.
+  const std::vector<float> norms = kernels::norm_cache(pts);
+  const std::vector<float> sq8_terms =
+      use_sq8 ? kernels::sq8_term_cache(*sq8_matrix) : std::vector<float>{};
+  const simt::RowScorer exact(pts, norms);
+  std::optional<simt::RowScorer> compressed;
+  if (use_sq8) compressed.emplace(*sq8_matrix, sq8_terms);
+  const simt::RowScorer& scorer = compressed ? *compressed : exact;
 
   // Resume path: verify the checkpoint belongs to this (params, points)
   // pair, then restore the k-NN set state and skip the phases it embodies.
@@ -453,13 +452,13 @@ BuildResult KnngBuilder::run(const FloatMatrix& points,
     cur_phase.emplace(tr, "leaf", acc);
 
     // kShared feasibility preflight: if the largest bucket cannot hold its
-    // scratch-resident k-NN sets (and, under sq8, the staged query), degrade
-    // the whole pass to kTiled up front instead of throwing — the paper's
-    // space limitation handled as policy.
+    // scratch-resident k-NN sets (and the staged query), degrade the whole
+    // pass to kTiled up front instead of throwing — the paper's space
+    // limitation handled as policy.
     if (effective == Strategy::kShared) {
       const std::size_t need =
           forest.max_bucket_size() * k_build * sizeof(std::uint64_t) +
-          (use_sq8 ? pts.cols() * sizeof(float) : 0) + 1024;
+          scorer.staging_floats() * sizeof(float) + 1024;
       if (need > params_.scratch_bytes) {
         effective = Strategy::kTiled;
         std::ostringstream os;
@@ -477,7 +476,8 @@ BuildResult KnngBuilder::run(const FloatMatrix& points,
     LeafReport leaf;
     leaf_knn_resilient(*pool_, pts, forest, effective, sets, &acc,
                        params_.scratch_bytes, params_.schedule,
-                       params_.max_bucket_retries, quarantined, leaf, sq8);
+                       params_.max_bucket_retries, quarantined, leaf,
+                       scorer);
     result.health.buckets_retried = leaf.buckets_retried;
     result.health.buckets_failed = leaf.buckets_failed;
     result.health.buckets_degraded = leaf.buckets_degraded;
@@ -512,7 +512,7 @@ BuildResult KnngBuilder::run(const FloatMatrix& points,
     with_launch_retry(params_.max_bucket_retries,
                       result.health.launches_retried, [&] {
                         skipped = refine_round(*pool_, pts, adj, eff_params,
-                                               sets, &acc, sq8);
+                                               sets, &acc, scorer);
                       });
     result.health.refine_points_skipped += skipped;
     result.health.rounds_completed = round + 1;
@@ -531,8 +531,6 @@ BuildResult KnngBuilder::run(const FloatMatrix& points,
     cur_phase.emplace(tr, "rerank", acc);
     const KnnGraph wide = sets.extract(*pool_);
     reranked_graph.emplace(n, params_.k);
-    std::vector<float> norms;
-    if (!kernels::strict_mode()) norms = kernels::row_norms(pts);
     std::atomic<std::uint64_t> rescored{0};
     simt::LaunchConfig config;
     config.scratch_bytes = params_.scratch_bytes;
@@ -546,7 +544,7 @@ BuildResult KnngBuilder::run(const FloatMatrix& points,
       const auto pool_row = wide.row(p);
       const std::size_t cnt = wide.row_size(p);
       if (cnt == 0) return;
-      auto xp = pts.row(p);
+      const simt::RowScorer::Query q = exact.prepare(w, pts.row(p), {});
       w.count_read(cnt * sizeof(Neighbor));
       std::vector<std::pair<float, std::uint32_t>> scored;
       scored.reserve(cnt);
@@ -559,9 +557,7 @@ BuildResult KnngBuilder::run(const FloatMatrix& points,
           ids[l] = pool_row[t0 + l].id;
           active[l] = true;
         }
-        const simt::Lanes<float> d = simt::warp_l2_batch(
-            w, xp, ids, active,
-            [&](std::uint32_t id) { return pts.row(id); }, norms);
+        const simt::Lanes<float> d = exact.lanes(w, q, ids, active);
         for (std::size_t l = 0; l < c; ++l) {
           if (std::isfinite(d[l])) {
             scored.emplace_back(d[l], ids[l]);

@@ -1,6 +1,7 @@
 #include "core/graph_search.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "common/error.hpp"
@@ -23,6 +24,7 @@ namespace wknng::core {
 
 using simt::kWarpSize;
 using simt::Lanes;
+using simt::RowScorer;
 using simt::Warp;
 
 namespace {
@@ -154,6 +156,16 @@ BatchSearchResult search_batch(ThreadPool& pool, const SearchTarget& t,
   auto source_id = [&](std::uint32_t id) {
     return permuted ? t.new_to_old[id] : id;
   };
+  // The approximate scorer reads the codes when compressed, the fp32 base
+  // rows otherwise; the exact scorer always reads the base rows.
+  const RowScorer exact(base, t.norms);
+  std::optional<RowScorer> codes;
+  if (use_sq8) codes.emplace(*t.sq8.matrix, t.sq8.terms);
+  const RowScorer& approx = codes ? *codes : exact;
+  // Code rows stay in source order; base rows may be permuted.
+  auto scorer_id = [&](const RowScorer& s, std::uint32_t id) {
+    return s.sq8() ? source_id(id) : id;
+  };
   auto adjacency_row = [&](std::uint32_t id) -> const void* {
     return t.graph != nullptr
                ? static_cast<const void*>(t.graph->row(id).data())
@@ -187,44 +199,35 @@ BatchSearchResult search_batch(ThreadPool& pool, const SearchTarget& t,
     // exact rescore has a pool to re-order (rr_eff is 0 otherwise).
     TopK best(std::max(std::max(k_eff, params.beam), rr_eff));
 
-    // Compressed path: prepare the query once per warp (one fp32 row read);
-    // every candidate after this streams 1 byte/dim of code data.
-    kernels::Sq8Query sq8_q;
-    if (use_sq8) {
-      sq8_q = simt::warp_sq8_prepare(w, query, t.sq8.codebook(), slot.qprep);
-    }
+    // The exact query is the fp32 row itself; the compressed path prepares
+    // its query once per warp (one fp32 row read), after which every
+    // candidate streams 1 byte/dim of code data.
+    const RowScorer::Query exact_q = exact.prepare(w, query, {});
+    slot.qprep.resize(approx.staging_floats());
+    const RowScorer::Query approx_q = approx.prepare(w, query, slot.qprep);
 
-    // Scores one warp-tile ids[0, cnt) — through the codes unless `exact`.
+    // Scores one warp-tile ids[0, cnt) (base ids) with `s`.
     auto score_tile = [&](const std::uint32_t* ids, std::size_t cnt,
-                          bool exact) {
+                          const RowScorer& s, const RowScorer::Query& q) {
       Lanes<std::uint32_t> lane_ids{};
       Lanes<bool> active{};
       for (std::size_t l = 0; l < cnt; ++l) {
-        lane_ids[l] = ids[l];
+        lane_ids[l] = scorer_id(s, ids[l]);
         active[l] = true;
       }
-      if (exact) {
-        return simt::warp_l2_batch(
-            w, query, lane_ids, active,
-            [&](std::uint32_t p) { return base.row(p); }, t.norms);
-      }
-      for (std::size_t l = 0; l < cnt; ++l) lane_ids[l] = source_id(ids[l]);
-      return simt::warp_sq8_l2_batch(
-          w, sq8_q, lane_ids, active,
-          [&](std::uint32_t p) { return t.sq8.row(p); }, t.sq8.terms);
+      return s.lanes(w, q, lane_ids, active);
     };
-    // Starts the rows score_tile will read for ids[t0, t0 + one tile).
+    // Starts the rows the approximate scorer will read for ids[t0, t0 + one
+    // tile).
     auto prefetch_tile = [&](const std::vector<std::uint32_t>& ids,
                              std::size_t t0) {
       if (!prefetch_rows) return;
       const std::size_t end = std::min(ids.size(), t0 + kWarpSize);
       for (std::size_t i = t0; i < end; ++i) {
-        if (use_sq8) {
-          const std::uint8_t* r = t.sq8.row(source_id(ids[i])).data();
-          for (std::size_t d = 0; d < dim; d += 64) WKNNG_PREFETCH(r + d);
-        } else {
-          const float* r = base.row(ids[i]).data();
-          for (std::size_t d = 0; d < dim; d += 16) WKNNG_PREFETCH(r + d);
+        const std::span<const std::byte> r =
+            approx.row_bytes(scorer_id(approx, ids[i]));
+        for (std::size_t b = 0; b < r.size(); b += 64) {
+          WKNNG_PREFETCH(r.data() + b);
         }
       }
     };
@@ -243,7 +246,8 @@ BatchSearchResult search_batch(ThreadPool& pool, const SearchTarget& t,
     for (std::size_t t0 = 0; t0 < sample.size(); t0 += kWarpSize) {
       const std::size_t cnt =
           std::min<std::size_t>(kWarpSize, sample.size() - t0);
-      const Lanes<float> d = score_tile(sample.data() + t0, cnt, !use_sq8);
+      const Lanes<float> d =
+          score_tile(sample.data() + t0, cnt, approx, approx_q);
       for (std::size_t l = 0; l < cnt; ++l) entries.push(d[l], sample[t0 + l]);
     }
     visits += sample.size();
@@ -287,7 +291,8 @@ BatchSearchResult search_batch(ThreadPool& pool, const SearchTarget& t,
         prefetch_tile(expand, t0 + kWarpSize);
         const std::size_t cnt =
             std::min<std::size_t>(kWarpSize, expand.size() - t0);
-        const Lanes<float> d = score_tile(expand.data() + t0, cnt, !use_sq8);
+        const Lanes<float> d =
+            score_tile(expand.data() + t0, cnt, approx, approx_q);
         for (std::size_t l = 0; l < cnt; ++l) {
           const std::uint32_t id = expand[t0 + l];
           if (d[l] < best.worst()) {
@@ -314,15 +319,18 @@ BatchSearchResult search_batch(ThreadPool& pool, const SearchTarget& t,
       if (found.size() > rr_eff) found.resize(rr_eff);
       expand.clear();
       for (const Neighbor& nb : found) expand.push_back(nb.id);
-      TopK exact(k_eff);
+      TopK rescored(k_eff);
       for (std::size_t t0 = 0; t0 < expand.size(); t0 += kWarpSize) {
         const std::size_t cnt =
             std::min<std::size_t>(kWarpSize, expand.size() - t0);
-        const Lanes<float> d = score_tile(expand.data() + t0, cnt, true);
-        for (std::size_t l = 0; l < cnt; ++l) exact.push(d[l], expand[t0 + l]);
+        const Lanes<float> d =
+            score_tile(expand.data() + t0, cnt, exact, exact_q);
+        for (std::size_t l = 0; l < cnt; ++l) {
+          rescored.push(d[l], expand[t0 + l]);
+        }
         visits += cnt;
       }
-      found = exact.take_sorted();
+      found = rescored.take_sorted();
     }
     if (found.size() > k_eff) found.resize(k_eff);
     if (permuted) {

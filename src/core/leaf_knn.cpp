@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "core/resilience.hpp"
 #include "core/tiled_block.hpp"
-#include "kernels/kernels.hpp"
 #include "simt/fault.hpp"
 #include "simt/launch.hpp"
 #include "simt/packed.hpp"
@@ -24,38 +23,23 @@ using simt::Warp;
 
 namespace {
 
-/// Pair-at-a-time bucket kernel shared by kBasic and kAtomic: one distance
-/// per step (dimension-parallel lanes), immediate strategy insert of both
-/// directions.
+/// Pair-at-a-time bucket kernel shared by kBasic and kAtomic: point a is
+/// prepared as the query once, then one distance per step (dimension-parallel
+/// lanes) and an immediate strategy insert of both directions.
 void bucket_pairwise(Warp& w, const FloatMatrix& points,
                      std::span<const std::uint32_t> ids, Strategy strategy,
-                     KnnSetArray& sets, const kernels::Sq8View* sq8) {
+                     KnnSetArray& sets, const simt::RowScorer& scorer) {
   const std::size_t m = ids.size();
-  const bool use_sq8 = sq8 != nullptr && sq8->valid();
-  // Compressed tier: each query row is prepared into one scratch slice.
-  std::span<float> staged;
-  if (use_sq8 && m >= 2) staged = w.scratch().alloc<float>(points.cols());
+  std::span<float> staging;
+  if (m >= 2) staging = scorer.alloc_staging(w);
   for (std::size_t a = 0; a + 1 < m; ++a) {
     simt::fault_maybe_throw(simt::FaultSite::kWarpAbort);  // mid-bucket kill
     const std::uint32_t ia = ids[a];
-    auto xa = points.row(ia);
-    if (use_sq8) {
-      // Compressed tier: point a is the asymmetric query (prepared once, one
-      // fp32 row read); every partner streams its 1-byte/dim code row. Both
-      // directions share the one asymmetric distance, like the fp32 kernel.
-      const kernels::Sq8Query q =
-          simt::warp_sq8_prepare(w, xa, sq8->codebook(), staged);
-      for (std::size_t b = a + 1; b < m; ++b) {
-        const std::uint32_t ib = ids[b];
-        const float dist = simt::warp_sq8_l2_dims(w, q, sq8->row(ib));
-        sets.insert(w, strategy, ia, Packed::make(dist, ib));
-        sets.insert(w, strategy, ib, Packed::make(dist, ia));
-      }
-      continue;
-    }
+    const simt::RowScorer::Query q =
+        scorer.prepare(w, points.row(ia), staging);
     for (std::size_t b = a + 1; b < m; ++b) {
       const std::uint32_t ib = ids[b];
-      const float dist = simt::warp_l2_dims(w, xa, points.row(ib));
+      const float dist = scorer.pair(w, q, ib);
       sets.insert(w, strategy, ia, Packed::make(dist, ib));
       sets.insert(w, strategy, ib, Packed::make(dist, ia));
     }
@@ -70,15 +54,11 @@ void bucket_pairwise(Warp& w, const FloatMatrix& points,
 /// dimensionality.
 void bucket_tiled(Warp& w, const FloatMatrix& points,
                   std::span<const std::uint32_t> ids, KnnSetArray& sets,
-                  std::span<const float> norms_by_id,
-                  const kernels::Sq8View* sq8) {
+                  const simt::RowScorer& scorer) {
   const std::size_t m = ids.size();
   if (m < 2) return;
   const detail::TileBuffers buf =
       detail::alloc_tile_buffers(w, points.cols(), sets.k());
-  detail::Sq8TileState sq8_state;
-  if (sq8 != nullptr && sq8->valid()) sq8_state.view = sq8;
-  detail::Sq8TileState* sq8_tile = sq8_state.active() ? &sq8_state : nullptr;
 
   const std::size_t num_tiles = (m + kWarpSize - 1) / kWarpSize;
   for (std::size_t ta = 0; ta < num_tiles; ++ta) {
@@ -91,7 +71,7 @@ void bucket_tiled(Warp& w, const FloatMatrix& points,
       detail::process_tile_pair(
           w, points, [&](std::size_t i) { return ids[a0 + i]; }, na,
           [&](std::size_t j) { return ids[b0 + j]; }, nb,
-          /*diagonal=*/ta == tb, sets, buf, norms_by_id, sq8_tile);
+          /*diagonal=*/ta == tb, sets, buf, scorer);
     }
   }
 }
@@ -105,15 +85,13 @@ void bucket_tiled(Warp& w, const FloatMatrix& points,
 /// that motivates the three global-memory strategies.
 void bucket_shared(Warp& w, const FloatMatrix& points,
                    std::span<const std::uint32_t> ids, KnnSetArray& sets,
-                   const kernels::Sq8View* sq8) {
+                   const simt::RowScorer& scorer) {
   const std::size_t m = ids.size();
   if (m < 2) return;
   const std::size_t k = sets.k();
-  const bool use_sq8 = sq8 != nullptr && sq8->valid();
-  const std::size_t staged_dims = use_sq8 ? points.cols() : 0;
 
-  const std::size_t need =
-      m * k * sizeof(std::uint64_t) + staged_dims * sizeof(float);
+  const std::size_t need = m * k * sizeof(std::uint64_t) +
+                           scorer.staging_floats() * sizeof(float);
   if (need + 1024 > w.scratch().capacity()) {
     std::ostringstream os;
     os << "shared-memory strategy infeasible: bucket of " << m << " points x k="
@@ -124,9 +102,7 @@ void bucket_shared(Warp& w, const FloatMatrix& points,
     throw ScratchOverflowError(os.str());
   }
   auto local = w.scratch().alloc<std::uint64_t>(m * k);
-  // Compressed tier: each query row is prepared into one scratch slice.
-  std::span<float> staged;
-  if (use_sq8) staged = w.scratch().alloc<float>(staged_dims);
+  const std::span<float> staging = scorer.alloc_staging(w);
   std::fill(local.begin(), local.end(), Packed::kEmpty);
 
   // Scratch-set insert: replace-worst scan, no locks, no global traffic.
@@ -143,19 +119,10 @@ void bucket_shared(Warp& w, const FloatMatrix& points,
 
   for (std::size_t a = 0; a + 1 < m; ++a) {
     simt::fault_maybe_throw(simt::FaultSite::kWarpAbort);  // mid-bucket kill
-    auto xa = points.row(ids[a]);
-    if (use_sq8) {
-      const kernels::Sq8Query q =
-          simt::warp_sq8_prepare(w, xa, sq8->codebook(), staged);
-      for (std::size_t b = a + 1; b < m; ++b) {
-        const float dist = simt::warp_sq8_l2_dims(w, q, sq8->row(ids[b]));
-        insert_local(a, Packed::make(dist, ids[b]));
-        insert_local(b, Packed::make(dist, ids[a]));
-      }
-      continue;
-    }
+    const simt::RowScorer::Query q =
+        scorer.prepare(w, points.row(ids[a]), staging);
     for (std::size_t b = a + 1; b < m; ++b) {
-      const float dist = simt::warp_l2_dims(w, xa, points.row(ids[b]));
+      const float dist = scorer.pair(w, q, ids[b]);
       insert_local(a, Packed::make(dist, ids[b]));
       insert_local(b, Packed::make(dist, ids[a]));
     }
@@ -181,19 +148,18 @@ void bucket_shared(Warp& w, const FloatMatrix& points,
 
 void process_bucket(simt::Warp& w, const FloatMatrix& points,
                     std::span<const std::uint32_t> ids, Strategy strategy,
-                    KnnSetArray& sets, std::span<const float> norms_by_id,
-                    const kernels::Sq8View* sq8) {
+                    KnnSetArray& sets, const simt::RowScorer& scorer) {
   simt::fault_maybe_throw(simt::FaultSite::kWarpAbort);
   switch (strategy) {
     case Strategy::kTiled:
-      bucket_tiled(w, points, ids, sets, norms_by_id, sq8);
+      bucket_tiled(w, points, ids, sets, scorer);
       return;
     case Strategy::kShared:
-      bucket_shared(w, points, ids, sets, sq8);
+      bucket_shared(w, points, ids, sets, scorer);
       return;
     case Strategy::kBasic:
     case Strategy::kAtomic:
-      bucket_pairwise(w, points, ids, strategy, sets, sq8);
+      bucket_pairwise(w, points, ids, strategy, sets, scorer);
       return;
   }
 }
@@ -221,17 +187,7 @@ void leaf_knn_resilient(ThreadPool& pool, const FloatMatrix& points,
                         const simt::ScheduleSpec& schedule,
                         std::size_t max_retries,
                         std::span<const std::uint32_t> quarantined,
-                        LeafReport& report,
-                        const kernels::Sq8View* sq8) {
-  // Norm cache for the tiled micro-kernel; kShared needs it too because its
-  // scratch-overflow fallback rung re-runs buckets with the tiled kernel.
-  // The compressed tier replaces it with the Sq8View's per-row term cache.
-  std::vector<float> norms;
-  const bool use_sq8 = sq8 != nullptr && sq8->valid();
-  if ((strategy == Strategy::kTiled || strategy == Strategy::kShared) &&
-      !use_sq8 && !kernels::strict_mode()) {
-    norms = kernels::row_norms(points);
-  }
+                        LeafReport& report, const simt::RowScorer& scorer) {
   simt::LaunchConfig config;
   config.scratch_bytes = scratch_bytes;
   config.schedule = schedule;
@@ -264,7 +220,7 @@ void leaf_knn_resilient(ThreadPool& pool, const FloatMatrix& points,
           ids = kept;
         }
         try {
-          process_bucket(w, points, ids, strat, sets, norms, sq8);
+          process_bucket(w, points, ids, strat, sets, scorer);
         } catch (const ScratchOverflowError&) {
           std::lock_guard<std::mutex> lock(failures_mutex);
           failures.push_back({b, /*scratch_overflow=*/true});

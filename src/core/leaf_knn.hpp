@@ -5,8 +5,8 @@
 #include "core/knn_set.hpp"
 #include "core/params.hpp"
 #include "core/rp_forest.hpp"
-#include "kernels/sq8.hpp"
 #include "simt/stats.hpp"
+#include "simt/warp_distance.hpp"
 
 namespace wknng::core {
 
@@ -30,11 +30,10 @@ struct LeafReport {
 ///    dimension-chunked coordinate staging in scratch (each coordinate is
 ///    read from global memory once per tile pair instead of once per pair),
 ///    then merges sorted 32-candidate runs into the k-sets.
-/// When `sq8` points at a valid kernels::Sq8View, every candidate distance
-/// is scored against the compressed (u8) rows asymmetrically instead of the
-/// fp32 rows — the compressed storage tier. The k-NN sets then hold
-/// approximate distances; the builder's exact rerank restores full-precision
-/// ordering before the final graph is emitted.
+/// Every distance comes from `scorer`, built over `points` (fp32) or over
+/// their SQ8 codes — the compressed storage tier. Under SQ8 the k-NN sets
+/// hold approximate distances; the builder's exact rerank restores
+/// full-precision ordering before the final graph is emitted.
 ///
 /// Recovery: per-bucket failures (scratch overflow, warp abort, lock
 /// timeout — real or injected) are caught inside the warp body, recorded,
@@ -53,20 +52,15 @@ void leaf_knn_resilient(ThreadPool& pool, const FloatMatrix& points,
                         const simt::ScheduleSpec& schedule,
                         std::size_t max_retries,
                         std::span<const std::uint32_t> quarantined,
-                        LeafReport& report,
-                        const kernels::Sq8View* sq8 = nullptr);
+                        LeafReport& report, const simt::RowScorer& scorer);
 
 /// Brute-forces one id list as a bucket with the given strategy, feeding the
 /// global k-NN sets: every unordered pair is evaluated once and submitted to
 /// both endpoints. This is the leaf pass's inner kernel; the local-join
 /// refinement mode reuses it on per-point candidate neighborhoods.
-/// `norms_by_id`, when non-empty, is a squared-norm cache indexed by point
-/// id (kernels::row_norms) used by the tiled kernel's norm-trick path.
-/// `sq8`, when valid, routes every pair distance through the compressed tier
-/// (asymmetric fp32-query-vs-u8-codes; see leaf_knn_resilient).
+/// Distances come from `scorer` (see leaf_knn_resilient).
 void process_bucket(simt::Warp& w, const FloatMatrix& points,
                     std::span<const std::uint32_t> ids, Strategy strategy,
-                    KnnSetArray& sets, std::span<const float> norms_by_id = {},
-                    const kernels::Sq8View* sq8 = nullptr);
+                    KnnSetArray& sets, const simt::RowScorer& scorer);
 
 }  // namespace wknng::core

@@ -5,13 +5,11 @@
 
 #include "common/error.hpp"
 #include "core/leaf_knn.hpp"
-#include "kernels/kernels.hpp"
 #include "simt/fault.hpp"
 #include "simt/launch.hpp"
 #include "simt/packed.hpp"
 #include "simt/sort.hpp"
 #include "simt/visited.hpp"
-#include "simt/warp_distance.hpp"
 
 namespace wknng::core {
 
@@ -117,34 +115,20 @@ namespace {
 void refine_point_pairwise(Warp& w, const FloatMatrix& points,
                            std::span<const std::uint32_t> cands,
                            std::uint32_t p, Strategy strategy,
-                           KnnSetArray& sets, const kernels::Sq8View* sq8) {
-  auto xp = points.row(p);
-  if (sq8 != nullptr && sq8->valid()) {
-    const kernels::Sq8Query q = simt::warp_sq8_prepare(
-        w, xp, sq8->codebook(), w.scratch().alloc<float>(xp.size()));
-    for (std::uint32_t r : cands) {
-      const float dist = simt::warp_sq8_l2_dims(w, q, sq8->row(r));
-      sets.insert(w, strategy, p, Packed::make(dist, r));
-    }
-    return;
-  }
+                           KnnSetArray& sets, const simt::RowScorer& scorer) {
+  const simt::RowScorer::Query q =
+      scorer.prepare(w, points.row(p), scorer.alloc_staging(w));
   for (std::uint32_t r : cands) {
-    const float dist = simt::warp_l2_dims(w, xp, points.row(r));
+    const float dist = scorer.pair(w, q, r);
     sets.insert(w, strategy, p, Packed::make(dist, r));
   }
 }
 
 void refine_point_tiled(Warp& w, const FloatMatrix& points,
                         std::span<const std::uint32_t> cands, std::uint32_t p,
-                        KnnSetArray& sets, std::span<const float> norms_by_id,
-                        const kernels::Sq8View* sq8) {
-  auto xp = points.row(p);
-  const bool use_sq8 = sq8 != nullptr && sq8->valid();
-  kernels::Sq8Query q;
-  if (use_sq8) {
-    q = simt::warp_sq8_prepare(w, xp, sq8->codebook(),
-                               w.scratch().alloc<float>(xp.size()));
-  }
+                        KnnSetArray& sets, const simt::RowScorer& scorer) {
+  const simt::RowScorer::Query q =
+      scorer.prepare(w, points.row(p), scorer.alloc_staging(w));
   for (std::size_t t0 = 0; t0 < cands.size(); t0 += kWarpSize) {
     const std::size_t cnt = std::min<std::size_t>(kWarpSize, cands.size() - t0);
     Lanes<std::uint32_t> ids{};
@@ -153,15 +137,7 @@ void refine_point_tiled(Warp& w, const FloatMatrix& points,
       ids[l] = cands[t0 + l];
       active[l] = true;
     }
-    const Lanes<float> dists =
-        use_sq8 ? simt::warp_sq8_l2_batch(
-                      w, q, ids, active,
-                      [&](std::uint32_t id) { return sq8->row(id); },
-                      sq8->terms)
-                : simt::warp_l2_batch(
-                      w, xp, ids, active,
-                      [&](std::uint32_t id) { return points.row(id); },
-                      norms_by_id);
+    const Lanes<float> dists = scorer.lanes(w, q, ids, active);
     Lanes<std::uint64_t> run;
     run.fill(Packed::kEmpty);
     for (std::size_t l = 0; l < cnt; ++l) {
@@ -177,25 +153,14 @@ void refine_point_tiled(Warp& w, const FloatMatrix& points,
 std::size_t refine_round(ThreadPool& pool, const FloatMatrix& points,
                          const Adjacency& adj, const BuildParams& params,
                          KnnSetArray& sets, simt::StatsAccumulator* acc,
-                         const kernels::Sq8View* sq8) {
+                         const simt::RowScorer& scorer) {
   const std::size_t n = sets.num_points();
   WKNNG_CHECK(adj.n == n);
-  const bool use_sq8 = sq8 != nullptr && sq8->valid();
 
   // Per-point recovery: a failed point keeps its current (valid) set for
   // this round; the caller decides whether a skipped point degrades the
   // build. Failures leave no lock held — the lock-timeout site fires before
   // acquisition and scratch is allocated before the critical sections.
-  // Whole-dataset squared-norm cache: one O(n*dim) pass funds the norm-trick
-  // fast path of every tiled/batched evaluation this round (the strict
-  // scalar backend ignores it, so skip the pass there).
-  std::vector<float> norms;
-  if (!use_sq8 && (params.strategy == Strategy::kTiled ||
-                   params.strategy == Strategy::kShared ||
-                   params.refine_mode == RefineMode::kLocalJoin)) {
-    if (!kernels::strict_mode()) norms = kernels::row_norms(points);
-  }
-
   std::atomic<std::size_t> skipped{0};
   const auto guarded = [&skipped](auto&& body) {
     try {
@@ -244,19 +209,18 @@ std::size_t refine_round(ThreadPool& pool, const FloatMatrix& points,
         const std::size_t unique_count =
             std::min<std::size_t>(end - ids.begin(), params.refine_sample);
         process_bucket(w, points, ids.subspan(0, unique_count), params.strategy,
-                       sets, norms, sq8);
+                       sets, scorer);
       });
     });
     return skipped.load(std::memory_order_relaxed);
   }
 
   // The expand gather keeps at most min(gather_ids, n) unique ids plus as
-  // many for the radix sort's ping-pong half; SQ8 also stages the prepared
-  // query.
+  // many for the radix sort's ping-pong half, plus the staged query.
   config.scratch_bytes = std::max(
       params.scratch_bytes,
       2 * std::min(gather_ids, n) * sizeof(std::uint32_t) +
-          (use_sq8 ? points.cols() * sizeof(float) : 0) + 4096);
+          scorer.staging_floats() * sizeof(float) + 4096);
   config.trace_label = "refine_expand";
   simt::launch_warps(pool, n, config, acc, [&](Warp& w) {
     guarded([&] {
@@ -268,9 +232,10 @@ std::size_t refine_round(ThreadPool& pool, const FloatMatrix& points,
           params.strategy == Strategy::kShared) {
         // kShared refines like kTiled: candidates scored in scratch, one
         // merge per tile — the natural scratch-first discipline.
-        refine_point_tiled(w, points, cands, p, sets, norms, sq8);
+        refine_point_tiled(w, points, cands, p, sets, scorer);
       } else {
-        refine_point_pairwise(w, points, cands, p, params.strategy, sets, sq8);
+        refine_point_pairwise(w, points, cands, p, params.strategy, sets,
+                              scorer);
       }
     });
   });

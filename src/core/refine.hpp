@@ -8,9 +8,9 @@
 #include "common/thread_pool.hpp"
 #include "core/knn_set.hpp"
 #include "core/params.hpp"
-#include "kernels/sq8.hpp"
 #include "simt/stats.hpp"
 #include "simt/warp.hpp"
+#include "simt/warp_distance.hpp"
 
 namespace wknng::core {
 
@@ -72,11 +72,11 @@ std::span<std::uint32_t> gather_candidates(simt::Warp& w, const Adjacency& adj,
 /// set for this round and is counted in the return value. Returns the
 /// number of points skipped that way (0 on a clean round).
 ///
-/// `sq8`, when valid, scores every candidate against the compressed (u8)
-/// rows asymmetrically instead of the fp32 rows (see leaf_knn_resilient).
+/// Every candidate is scored by `scorer`, built over `points` or over their
+/// SQ8 codes (see leaf_knn_resilient).
 std::size_t refine_round(ThreadPool& pool, const FloatMatrix& points,
                          const Adjacency& adj, const BuildParams& params,
                          KnnSetArray& sets, simt::StatsAccumulator* acc,
-                         const kernels::Sq8View* sq8 = nullptr);
+                         const simt::RowScorer& scorer);
 
 }  // namespace wknng::core

@@ -15,10 +15,8 @@ KnnGraph warp_brute_force_knng(ThreadPool& pool, const FloatMatrix& points,
   WKNNG_CHECK_MSG(k > 0 && k < n, "need 0 < k < n; k=" << k << " n=" << n);
 
   KnnSetArray sets(n, k);
-  // Whole-dataset squared-norm cache for the tile micro-kernel's norm-trick
-  // path (ignored by the strict scalar backend).
-  std::vector<float> norms;
-  if (!kernels::strict_mode()) norms = kernels::row_norms(points);
+  const std::vector<float> norms = kernels::norm_cache(points);
+  const simt::RowScorer scorer(points, norms);
   const std::size_t num_tiles = (n + simt::kWarpSize - 1) / simt::kWarpSize;
   // Enumerate the upper-triangular tile-pair grid (including the diagonal):
   // warp w handles the pair with linear index w.
@@ -51,7 +49,7 @@ KnnGraph warp_brute_force_knng(ThreadPool& pool, const FloatMatrix& points,
     detail::process_tile_pair(
         w, points, [&](std::size_t i) { return a0 + i; }, na,
         [&](std::size_t j) { return b0 + j; }, nb,
-        /*diagonal=*/ta == tb, sets, buf, norms);
+        /*diagonal=*/ta == tb, sets, buf, scorer);
   });
 
   return sets.extract(pool);

@@ -474,6 +474,7 @@ std::size_t DynamicKnng::apply_repair(std::size_t rounds, bool replaying) {
     const core::Adjacency adj =
         core::snapshot_adjacency(*pool_, sets_, params_.reverse_cap);
 
+    const simt::RowScorer scorer(points_);
     simt::LaunchConfig config;
     config.scratch_bytes = params_.scratch_bytes;
     config.trace_label = "dynamic_repair";
@@ -533,7 +534,8 @@ std::size_t DynamicKnng::apply_repair(std::size_t rounds, bool replaying) {
         if (c < rows) seen.unmark(c);
       });
 
-      const auto query = points_.row(p);
+      const simt::RowScorer::Query query =
+          scorer.prepare(w, points_.row(p), {});
       for (std::size_t t0 = 0; t0 < cand.size(); t0 += kWarpSize) {
         const std::size_t cnt =
             std::min<std::size_t>(kWarpSize, cand.size() - t0);
@@ -543,9 +545,7 @@ std::size_t DynamicKnng::apply_repair(std::size_t rounds, bool replaying) {
           lane_ids[l] = cand[t0 + l];
           active[l] = true;
         }
-        const Lanes<float> d = simt::warp_l2_batch(
-            w, query, lane_ids, active,
-            [&](std::uint32_t c) { return points_.row(c); });
+        const Lanes<float> d = scorer.lanes(w, query, lane_ids, active);
         for (std::size_t l = 0; l < cnt; ++l) best.push(d[l], lane_ids[l]);
       }
 

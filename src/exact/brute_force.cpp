@@ -30,8 +30,7 @@ KnnGraph brute_force_knng(ThreadPool& pool, const FloatMatrix& points,
   // (the strict backend ignores the norms and runs the serial reference).
   std::vector<const float*> rows(n);
   for (std::size_t r = 0; r < n; ++r) rows[r] = points.row(r).data();
-  std::vector<float> norms;
-  if (!kernels::strict_mode()) norms = kernels::row_norms(points);
+  const std::vector<float> norms = kernels::norm_cache(points);
   const float* norms_ptr = norms.empty() ? nullptr : norms.data();
   const kernels::KernelOps& ops = kernels::ops();
 
@@ -88,8 +87,7 @@ KnnGraph brute_force_knn(ThreadPool& pool, const FloatMatrix& base,
   // ignores the norms and scores serially).
   std::vector<const float*> rows(n);
   for (std::size_t r = 0; r < n; ++r) rows[r] = base.row(r).data();
-  std::vector<float> norms;
-  if (!kernels::strict_mode()) norms = kernels::row_norms(base);
+  const std::vector<float> norms = kernels::norm_cache(base);
   const float* norms_ptr = norms.empty() ? nullptr : norms.data();
   const kernels::KernelOps& ops = kernels::ops();
 

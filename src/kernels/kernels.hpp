@@ -5,8 +5,8 @@
 // one of three primitives, bound once at startup to the widest ISA the CPU
 // supports (AVX2+FMA > SSE2 > portable scalar):
 //
-//   l2_one    one pair        (the warp-per-pair shape of warp_l2_dims)
-//   l2_batch  1 query x L     (the candidate-parallel shape of warp_l2_batch)
+//   l2_one    one pair        (the pair shape of simt::RowScorer)
+//   l2_batch  1 query x L     (RowScorer's candidate-parallel lanes shape)
 //   l2_tile   Q x L tile      (the GEMM-style shape of the tiled strategy),
 //             using the ||x||^2 + ||y||^2 - 2 x.y decomposition with cached
 //             squared norms on the SIMD backends
@@ -70,7 +70,8 @@ struct KernelOps {
   const char* name;
 
   /// One pair, warp-lane contract: the scalar implementation replicates the
-  /// lane-strided accumulation of the SIMT warp_l2_dims kernel bit-exactly.
+  /// lane-strided accumulation of the SIMT pair kernel
+  /// (simt::RowScorer::pair) bit-exactly.
   float (*l2_one)(const float* x, const float* y, std::size_t dim);
 
   /// One pair, host contract: the scalar implementation is the plain serial

@@ -12,13 +12,13 @@ namespace wknng::kernels {
 namespace {
 
 /// Number of virtual lanes in the lane-strided accumulation — must stay in
-/// lockstep with simt::kWarpSize (static_asserted at the warp_distance call
-/// site).
+/// lockstep with simt::kWarpSize (static_asserted next to simt::RowScorer,
+/// in simt/warp_distance.hpp).
 constexpr std::size_t kLanes = 32;
 
 /// Lane-strided order: dimension d accumulates into partial[d % 32], and the
-/// partials are combined lane 0 -> 31 — exactly the SIMT warp_l2_dims
-/// kernel's dimension-parallel reduction.
+/// partials are combined lane 0 -> 31 — exactly the dimension-parallel
+/// reduction of the SIMT pair shape (simt::RowScorer::pair, fp32 rows).
 float scalar_l2_one(const float* x, const float* y, std::size_t dim) {
   float partial[kLanes] = {};
   for (std::size_t d = 0; d < dim; ++d) {
@@ -31,7 +31,7 @@ float scalar_l2_one(const float* x, const float* y, std::size_t dim) {
 }
 
 /// Serial order: one accumulator, dimensions in order — the host baseline
-/// (exact::l2_sq) and the candidate-parallel lane body of warp_l2_batch.
+/// (exact::l2_sq) and the lane body of RowScorer's candidate-parallel shape.
 float scalar_l2_serial(const float* x, const float* y, std::size_t dim) {
   float acc = 0.0f;
   for (std::size_t d = 0; d < dim; ++d) {

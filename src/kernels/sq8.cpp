@@ -133,4 +133,8 @@ std::vector<float> sq8_code_terms(const Sq8Matrix& m) {
   return terms;
 }
 
+std::vector<float> sq8_term_cache(const Sq8Matrix& m) {
+  return strict_mode() ? std::vector<float>{} : sq8_code_terms(m);
+}
+
 }  // namespace wknng::kernels

@@ -105,9 +105,13 @@ float sq8_l2_sq_ref(std::span<const float> query,
 /// backend ignores term caches entirely.
 std::vector<float> sq8_code_terms(const Sq8Matrix& m);
 
-/// Borrowed view of a quantized dataset threaded through the build and
-/// search paths: the code matrix plus the optional per-row term cache
-/// (empty in strict mode, where the scalar backend would ignore it anyway).
+/// The term cache a code matrix's owner keeps next to it: sq8_code_terms,
+/// or empty in strict mode (the scalar backend ignores caches, so the pass
+/// would be wasted) — the sq8 analogue of kernels::norm_cache.
+std::vector<float> sq8_term_cache(const Sq8Matrix& m);
+
+/// Borrowed view of a quantized dataset handed to the search paths: the
+/// code matrix plus the optional per-row term cache (sq8_term_cache).
 struct Sq8View {
   const Sq8Matrix* matrix = nullptr;
   std::span<const float> terms;  ///< indexed by point id; may be empty

@@ -38,6 +38,7 @@ void prune_rows(ThreadPool& pool, const FloatMatrix& base,
   kept_flat.assign(n * k, KnnGraph::kInvalid);
   kept_count.assign(n, 0);
 
+  const simt::RowScorer scorer(base);
   simt::LaunchConfig cfg;
   cfg.grain = 32;  // rows are cheap; amortize the scheduling step
   cfg.trace_label = "opt_prune";
@@ -50,11 +51,10 @@ void prune_rows(ThreadPool& pool, const FloatMatrix& base,
     for (const Neighbor& nb : row) {
       if (nb.id == KnnGraph::kInvalid) break;
       bool occluded = false;
+      const simt::RowScorer::Query q = scorer.prepare(w, base.row(nb.id), {});
       for (const Neighbor& r : kept) {
         if (!(r.dist < nb.dist)) continue;  // rule needs a strictly closer r
-        const float dqr =
-            simt::warp_l2_dims(w, base.row(nb.id), base.row(r.id));
-        if (dqr < nb.dist) {
+        if (scorer.pair(w, q, r.id) < nb.dist) {
           occluded = true;
           break;
         }

@@ -70,11 +70,10 @@ struct GraphSnapshot {
   GraphSnapshot(std::uint64_t v, FloatMatrix b, KnnGraph g,
                 std::shared_ptr<const kernels::Sq8Matrix> codes = nullptr)
       : version(v), base(std::move(b)), graph(std::move(g)),
-        norms(kernels::norm_cache(base)), sq8(std::move(codes)) {
-    if (sq8 != nullptr && !kernels::strict_mode()) {
-      sq8_terms = kernels::sq8_code_terms(*sq8);
-    }
-  }
+        norms(kernels::norm_cache(base)),
+        sq8(std::move(codes)),
+        sq8_terms(sq8 != nullptr ? kernels::sq8_term_cache(*sq8)
+                                 : std::vector<float>{}) {}
 
   /// Borrowed view of the compressed tier; `!valid()` when the snapshot has
   /// no codes. The view aliases this snapshot — readers keep the snapshot

@@ -3,6 +3,10 @@
 // graphs. Any change to candidate generation, its order or its truncation —
 // or to which candidate a fault-injection opportunity lands on — moves a
 // hash. A change that is meant to alter graphs must re-pin them and say why.
+//
+// Each pinned build also pins its work counters. The builds run under the
+// sequential schedule, so the counters are as deterministic as the graph:
+// a refactor that keeps graphs but charges a kernel differently moves them.
 
 #include <gtest/gtest.h>
 
@@ -59,10 +63,30 @@ BuildParams pinned_params(Strategy strategy, Compression compression) {
 
 FloatMatrix pinned_points() { return data::make_clusters(600, 16, 6, 0.2f, 5); }
 
+/// The deterministic simt::Stats counters of one pinned build.
+struct Counters {
+  std::uint64_t distance_evals;
+  std::uint64_t flops;
+  std::uint64_t global_reads;
+  std::uint64_t global_writes;
+  std::uint64_t warp_collectives;
+  std::uint64_t scratch_bytes_peak;
+};
+
+void expect_counters(const simt::Stats& s, const Counters& pin) {
+  EXPECT_EQ(s.distance_evals, pin.distance_evals);
+  EXPECT_EQ(s.flops, pin.flops);
+  EXPECT_EQ(s.global_reads, pin.global_reads);
+  EXPECT_EQ(s.global_writes, pin.global_writes);
+  EXPECT_EQ(s.warp_collectives, pin.warp_collectives);
+  EXPECT_EQ(s.scratch_bytes_peak, pin.scratch_bytes_peak);
+}
+
 struct Pinned {
   Strategy strategy;
   Compression compression;
   std::uint64_t hash;
+  Counters counters;
 };
 
 void PrintTo(const Pinned& pin, std::ostream* os) {
@@ -80,27 +104,36 @@ TEST_P(GraphIdentity, BuildMatchesPinnedHash) {
       pool, pinned_points(), pinned_params(pin.strategy, pin.compression));
   ASSERT_TRUE(r.graph.check_invariants());
   EXPECT_EQ(graph_hash(r.graph), pin.hash);
+  expect_counters(r.stats, pin.counters);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, GraphIdentity,
     ::testing::Values(
         Pinned{Strategy::kBasic, Compression::kNone,
-               0xFEF208198220C2DFULL},
+               0xFEF208198220C2DFULL,
+               {72590u, 6114400u, 17953792u, 187072u, 1069791u, 1024u}},
         Pinned{Strategy::kAtomic, Compression::kNone,
-               0xFEF208198220C2DFULL},
+               0xFEF208198220C2DFULL,
+               {72590u, 6114400u, 17953792u, 187072u, 1069791u, 1024u}},
         Pinned{Strategy::kTiled, Compression::kNone,
-               0xFEF208198220C2DFULL},
+               0xFEF208198220C2DFULL,
+               {72590u, 3791520u, 3836800u, 371200u, 156878u, 8256u}},
         Pinned{Strategy::kShared, Compression::kNone,
-               0xFEF208198220C2DFULL},
+               0xFEF208198220C2DFULL,
+               {72590u, 5193376u, 8951104u, 221632u, 831180u, 2496u}},
         Pinned{Strategy::kBasic, Compression::kSq8,
-               0xA900F64DC6BE95A5ULL},
+               0xA900F64DC6BE95A5ULL,
+               {82208u, 7908096u, 19897712u, 319616u, 1075545u, 4160u}},
         Pinned{Strategy::kAtomic, Compression::kSq8,
-               0xA900F64DC6BE95A5ULL},
+               0xA900F64DC6BE95A5ULL,
+               {82208u, 7908096u, 19897712u, 319616u, 1075545u, 4160u}},
         Pinned{Strategy::kTiled, Compression::kSq8,
-               0xA3A1A03230073CD0ULL},
+               0xA3A1A03230073CD0ULL,
+               {80772u, 5617088u, 5203644u, 861696u, 174399u, 8320u}},
         Pinned{Strategy::kShared, Compression::kSq8,
-               0xA3A1A03230073CD0ULL}),
+               0xA3A1A03230073CD0ULL,
+               {80772u, 6917568u, 5283900u, 456576u, 868645u, 5056u}}),
     [](const ::testing::TestParamInfo<Pinned>& info) {
       return std::string(strategy_name(info.param.strategy)) + "_" +
              compression_name(info.param.compression);
@@ -117,6 +150,7 @@ TEST(GraphIdentity, CorruptDistanceBuildMatchesPinnedHash) {
   ASSERT_TRUE(r.graph.check_invariants());
   EXPECT_GT(r.health.faults_injected, 0u);
   EXPECT_EQ(graph_hash(r.graph), 0xC68FB79928AC1273ULL);
+  expect_counters(r.stats, {72594u, 3791712u, 3840048u, 373760u, 156990u, 8256u});
 }
 
 // The dynamic index's row repair: inserts and deletes dirty rows, one repair
@@ -147,6 +181,7 @@ TEST(GraphIdentity, DynamicRepairMatchesPinnedHash) {
   index.erase(doomed);
   index.repair();
   EXPECT_EQ(graph_hash(index.snapshot()->graph), 0x3E8A27976DE267B3ULL);
+  expect_counters(index.stats(), {86349u, 4451952u, 4956160u, 427776u, 157926u, 8256u});
   std::filesystem::remove_all(dir);
 }
 

@@ -45,7 +45,8 @@ LeafReport leaf_pass(ThreadPool& pool, const FloatMatrix& pts,
                      KnnSetArray& sets, simt::StatsAccumulator* acc = nullptr) {
   LeafReport report;
   leaf_knn_resilient(pool, pts, buckets, strategy, sets, acc, 48 * 1024, {},
-                     /*max_retries=*/0, /*quarantined=*/{}, report);
+                     /*max_retries=*/0, /*quarantined=*/{}, report,
+                     simt::RowScorer(pts));
   return report;
 }
 
@@ -194,7 +195,8 @@ TEST(SharedStrategy, ThrowsWhenBucketExceedsScratch) {
   EXPECT_THROW(simt::launch_warps(pool, 1, config, nullptr,
                                   [&](simt::Warp& w) {
                                     process_bucket(w, pts, buckets.bucket(0),
-                                                   Strategy::kShared, sets);
+                                                   Strategy::kShared, sets,
+                                                   simt::RowScorer(pts));
                                   }),
                Error);
   // The leaf pass catches the overflow and, with no retry left to degrade

@@ -28,7 +28,8 @@ KnnSetArray seeded_sets(ThreadPool& pool, const FloatMatrix& pts,
   const Buckets forest = build_rp_forest(pool, pts, 2, 24, 3);
   LeafReport report;
   leaf_knn_resilient(pool, pts, forest, strategy, sets, nullptr, 48 * 1024, {},
-                     /*max_retries=*/0, /*quarantined=*/{}, report);
+                     /*max_retries=*/0, /*quarantined=*/{}, report,
+                     simt::RowScorer(pts));
   return sets;
 }
 
@@ -94,7 +95,7 @@ TEST_P(RefineTest, ImprovesRecall) {
   const double recall_before = exact::recall(sets.extract(pool), truth);
 
   const Adjacency adj = snapshot_adjacency(pool, sets, params.reverse_cap);
-  refine_round(pool, pts, adj, params, sets, nullptr);
+  refine_round(pool, pts, adj, params, sets, nullptr, simt::RowScorer(pts));
   const double recall_after = exact::recall(sets.extract(pool), truth);
 
   EXPECT_GT(recall_after, recall_before);
@@ -113,7 +114,7 @@ TEST_P(RefineTest, NeverDegradesRowQuality) {
   KnnSetArray sets = seeded_sets(pool, pts, k, params.strategy);
   const KnnGraph before = sets.extract(pool);
   const Adjacency adj = snapshot_adjacency(pool, sets, 0);
-  refine_round(pool, pts, adj, params, sets, nullptr);
+  refine_round(pool, pts, adj, params, sets, nullptr, simt::RowScorer(pts));
   const KnnGraph after = sets.extract(pool);
 
   for (std::size_t p = 0; p < pts.rows(); ++p) {
@@ -136,7 +137,7 @@ TEST_P(RefineTest, GraphStaysValidAfterRounds) {
   KnnSetArray sets = seeded_sets(pool, pts, params.k, params.strategy);
   for (int round = 0; round < 3; ++round) {
     const Adjacency adj = snapshot_adjacency(pool, sets, 0);
-    refine_round(pool, pts, adj, params, sets, nullptr);
+    refine_round(pool, pts, adj, params, sets, nullptr, simt::RowScorer(pts));
     EXPECT_TRUE(sets.extract(pool).check_invariants()) << "round " << round;
   }
 }
@@ -151,7 +152,7 @@ TEST_P(RefineTest, SampleCapBoundsWork) {
   KnnSetArray sets = seeded_sets(pool, pts, params.k, params.strategy);
   const Adjacency adj = snapshot_adjacency(pool, sets, 0);
   simt::StatsAccumulator acc;
-  refine_round(pool, pts, adj, params, sets, &acc);
+  refine_round(pool, pts, adj, params, sets, &acc, simt::RowScorer(pts));
   // At most 4 candidates per point were scored.
   EXPECT_LE(acc.total().distance_evals, pts.rows() * 4u);
 }
@@ -180,7 +181,7 @@ TEST_P(LocalJoinTest, ImprovesRecallLikeExpand) {
   KnnSetArray sets = seeded_sets(pool, pts, k, params.strategy);
   const double before = exact::recall(sets.extract(pool), truth);
   const Adjacency adj = snapshot_adjacency(pool, sets, 0);
-  refine_round(pool, pts, adj, params, sets, nullptr);
+  refine_round(pool, pts, adj, params, sets, nullptr, simt::RowScorer(pts));
   const double after = exact::recall(sets.extract(pool), truth);
   EXPECT_GT(after, before);
   EXPECT_TRUE(sets.extract(pool).check_invariants());
@@ -214,7 +215,7 @@ TEST_P(LocalJoinTest, SubmitsJoinedPairsToBothEndpoints) {
   params.strategy = GetParam();
   params.refine_mode = RefineMode::kLocalJoin;
   const Adjacency adj = snapshot_adjacency(pool, sets, 0);
-  refine_round(pool, pts, adj, params, sets, nullptr);
+  refine_round(pool, pts, adj, params, sets, nullptr, simt::RowScorer(pts));
 
   const KnnGraph g = sets.extract(pool);
   auto contains = [&](std::uint32_t from, std::uint32_t to) {
@@ -377,7 +378,8 @@ TEST(GatherCandidates, BitmapStaysClearAcrossLaunchesAndGrowth) {
     const Adjacency adj = snapshot_adjacency(pool, sets, 0);
     EXPECT_EQ(check_launch(adj, 4), 0u) << "round " << round;
     EXPECT_EQ(check_launch(adj, 512), 0u) << "round " << round;
-    refine_round(pool, pts, adj, params, sets, nullptr);  // calling thread
+    // On the calling thread.
+    refine_round(pool, pts, adj, params, sets, nullptr, simt::RowScorer(pts));
     EXPECT_TRUE(simt::thread_visited(pts.rows()).all_clear());
   }
 
@@ -390,7 +392,7 @@ TEST(GatherCandidates, BitmapStaysClearAcrossLaunchesAndGrowth) {
   sets.grow(grown);
   const Adjacency adj = snapshot_adjacency(pool, sets, 0);
   EXPECT_EQ(check_launch(adj, 512), 0u);
-  refine_round(pool, more, adj, params, sets, nullptr);
+  refine_round(pool, more, adj, params, sets, nullptr, simt::RowScorer(more));
   EXPECT_TRUE(simt::thread_visited(grown).all_clear());
 }
 

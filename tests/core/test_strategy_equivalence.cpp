@@ -136,7 +136,8 @@ TEST(EquivalenceGrainTest, GrainSweepBitIdentical) {
     simt::launch_warps(pool, forest.num_buckets(), lc, nullptr,
                        [&](simt::Warp& w) {
                          process_bucket(w, pts, forest.bucket(w.id()),
-                                        Strategy::kTiled, sets);
+                                        Strategy::kTiled, sets,
+                                        simt::RowScorer(pts));
                        });
     return sets.extract(pool);
   };
@@ -174,11 +175,12 @@ TEST_P(RefineInvarianceTest, RoundIsScheduleInvariant) {
     LeafReport report;
     leaf_knn_resilient(pool, pts, forest, params.strategy, sets, nullptr,
                        params.scratch_bytes, {SchedulePolicy::kSequential, 0},
-                       /*max_retries=*/0, /*quarantined=*/{}, report);
+                       /*max_retries=*/0, /*quarantined=*/{}, report,
+                       simt::RowScorer(pts));
     const Adjacency adj = snapshot_adjacency(pool, sets, params.reverse_cap);
     BuildParams round = params;
     round.schedule = spec;
-    refine_round(pool, pts, adj, round, sets, nullptr);
+    refine_round(pool, pts, adj, round, sets, nullptr, simt::RowScorer(pts));
     return sets.extract(pool);
   };
 

@@ -44,7 +44,8 @@ TEST_F(TiledBlockTest, OffDiagonalPairSubmitsAllPairsBothWays) {
   const TileBuffers buf = alloc_tile_buffers(warp_, dim, sets.k());
   process_tile_pair(
       warp_, pts, [&](std::size_t i) { return i; }, na,
-      [&](std::size_t j) { return na + j; }, nb, /*diagonal=*/false, sets, buf);
+      [&](std::size_t j) { return na + j; }, nb, /*diagonal=*/false, sets, buf,
+      simt::RowScorer(pts));
 
   ThreadPool pool(1);
   const KnnGraph g = sets.extract(pool);
@@ -70,7 +71,8 @@ TEST_F(TiledBlockTest, DiagonalPairCoversUpperTriangleBothWays) {
   const TileBuffers buf = alloc_tile_buffers(warp_, dim, sets.k());
   process_tile_pair(
       warp_, pts, [&](std::size_t i) { return i; }, m,
-      [&](std::size_t j) { return j; }, m, /*diagonal=*/true, sets, buf);
+      [&](std::size_t j) { return j; }, m, /*diagonal=*/true, sets, buf,
+      simt::RowScorer(pts));
 
   ThreadPool pool(1);
   const KnnGraph g = sets.extract(pool);
@@ -97,7 +99,8 @@ TEST_F(TiledBlockTest, StrictBackendMatchesSerialBitExactly) {
   EXPECT_LT(buf.chunk_dims, dim);  // the staging plan really is chunked
   process_tile_pair(
       w, pts, [&](std::size_t i) { return i; }, 2,
-      [&](std::size_t j) { return 2 + j; }, 2, /*diagonal=*/false, sets, buf);
+      [&](std::size_t j) { return 2 + j; }, 2, /*diagonal=*/false, sets, buf,
+      simt::RowScorer(pts));
 
   ThreadPool pool(1);
   const KnnGraph g = sets.extract(pool);
@@ -125,7 +128,8 @@ TEST_F(TiledBlockTest, DispatchedBackendMatchesSerialWithinTolerance) {
   const TileBuffers buf = alloc_tile_buffers(warp_, dim, sets.k());
   process_tile_pair(
       warp_, pts, [&](std::size_t i) { return i; }, 2,
-      [&](std::size_t j) { return 2 + j; }, 2, /*diagonal=*/false, sets, buf);
+      [&](std::size_t j) { return 2 + j; }, 2, /*diagonal=*/false, sets, buf,
+      simt::RowScorer(pts));
 
   ThreadPool pool(1);
   const KnnGraph g = sets.extract(pool);
@@ -153,7 +157,8 @@ TEST_F(TiledBlockTest, GlobalReadsChargedOncePerTilePair) {
   const std::uint64_t before = stats_.global_reads;
   process_tile_pair(
       warp_, pts, [&](std::size_t i) { return i; }, 32,
-      [&](std::size_t j) { return 32 + j; }, 32, /*diagonal=*/false, sets, buf);
+      [&](std::size_t j) { return 32 + j; }, 32, /*diagonal=*/false, sets, buf,
+      simt::RowScorer(pts));
   // Coordinate traffic: 64 rows staged once = 64 * dim * 4 bytes; the rest
   // is k-set traffic (reads of 64 rows' sets during merges).
   const std::uint64_t coord = 64ULL * dim * sizeof(float);

@@ -41,7 +41,8 @@ float ref_l2_serial(const float* x, const float* y, std::size_t dim) {
   return acc;
 }
 
-/// Lane-strided reference replicating simt::warp_l2_dims' accumulation.
+/// Lane-strided reference replicating the SIMT pair shape's accumulation
+/// (simt::RowScorer::pair over fp32 rows).
 float ref_l2_lanes(const float* x, const float* y, std::size_t dim) {
   float partial[32] = {};
   for (std::size_t d = 0; d < dim; ++d) {
