@@ -1,14 +1,15 @@
 // Tab. 2 — substrate microbenchmarks (ablation of the enabling machinery).
 //
 // Throughput of the warp collectives, the in-register bitonic sort, the
-// sorted-run merge, and the packed atomic-min under single- and multi-warp
-// contention. These are the primitive costs the three strategies are built
+// sorted-run merge, the tiled run submission, and the packed atomic-min
+// under single- and multi-warp contention. These are the primitive costs the three strategies are built
 // from; their ratios explain the strategy crossovers.
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/knn_set.hpp"
 #include "kernels/kernels.hpp"
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
@@ -60,13 +61,19 @@ void BM_InclusiveScan(benchmark::State& state) {
 }
 BENCHMARK(BM_InclusiveScan);
 
+// Inputs come from a pool built before the timed loop: pausing the timer per
+// iteration costs about as much as the sort itself.
 void BM_BitonicSort32(benchmark::State& state) {
   Fixture f;
   Rng rng(1);
+  std::vector<Lanes<std::uint64_t>> pool(256);
+  for (auto& v : pool) {
+    v = make_lanes<std::uint64_t>([&](int) { return rng.next_u64(); });
+  }
+  std::size_t next = 0;
   for (auto _ : state) {
-    state.PauseTiming();
-    auto v = make_lanes<std::uint64_t>([&](int) { return rng.next_u64(); });
-    state.ResumeTiming();
+    Lanes<std::uint64_t> v = pool[next];
+    next = (next + 1) % pool.size();
     bitonic_sort_lanes(f.warp_, v);
     benchmark::DoNotOptimize(v);
   }
@@ -90,6 +97,42 @@ void BM_MergeSortedRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kWarpSize);
 }
 BENCHMARK(BM_MergeSortedRun)->Arg(10)->Arg(20)->Arg(40)->Arg(80);
+
+// The tiled strategy's run submission, core::KnnSetArray::merge_tile, over a
+// full k=16 row with distances 1..16. Arg 0: every lane lies above the row
+// bound, so the submission ends after the bound read. Arg 1: lanes spread
+// over [0, 32), so about half pass the bound and are sorted and merged.
+// Each iteration restores the row first (16 words), so the bound never
+// falls. The modelled cost of both is BM_BitonicSort32's network plus the
+// merge; this row prices what the host pays for it.
+void BM_MergeTile(benchmark::State& state) {
+  Fixture f;
+  const bool merged = state.range(0) != 0;
+  constexpr std::size_t k = 16;
+  std::vector<std::uint64_t> row(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    row[i] = Packed::make(static_cast<float>(i + 1), static_cast<std::uint32_t>(i));
+  }
+  core::KnnSetArray sets(1, k);
+  Rng rng(4);
+  std::vector<Lanes<std::uint64_t>> runs(256);
+  for (auto& run : runs) {
+    run = make_lanes<std::uint64_t>([&](int l) {
+      const float dist = merged ? 32.0f * rng.next_float()
+                                : 16.5f + 16.0f * rng.next_float();
+      return Packed::make(dist, static_cast<std::uint32_t>(100 + l));
+    });
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    sets.restore(row);
+    sets.merge_tile(f.warp_, 0, runs[next]);
+    next = (next + 1) % runs.size();
+    benchmark::DoNotOptimize(sets.row(0));
+  }
+  state.SetItemsProcessed(state.iterations() * kWarpSize);
+}
+BENCHMARK(BM_MergeTile)->ArgName("merged")->Arg(0)->Arg(1);
 
 // The pair shape of RowScorer over fp32 rows: one query row against row 1.
 void BM_WarpL2Dims(benchmark::State& state) {

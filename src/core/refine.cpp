@@ -143,8 +143,7 @@ void refine_point_tiled(Warp& w, const FloatMatrix& points,
     for (std::size_t l = 0; l < cnt; ++l) {
       run[l] = Packed::make(dists[l], ids[l]);
     }
-    simt::bitonic_sort_lanes(w, run);
-    sets.merge_sorted_tile(w, p, run);
+    sets.merge_tile(w, p, run);
   }
 }
 

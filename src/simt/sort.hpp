@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <type_traits>
@@ -12,53 +13,52 @@
 
 namespace wknng::simt {
 
+/// Collective depth of the warp bitonic network over 32 lanes:
+/// log2(32)*(log2(32)+1)/2 = 15 compare-exchange stages, each one
+/// __shfl_xor exchange plus a predicated min/max.
+inline constexpr std::uint64_t kBitonicSortCollectives = 15;
+
 /// In-register bitonic sort of one value per lane, ascending across lanes
-/// (lane 0 ends with the minimum). This is the classic warp-level bitonic
-/// network built from __shfl_xor exchanges: log2(32)*(log2(32)+1)/2 = 15
-/// compare-exchange stages, each one shuffle plus a predicated min/max.
+/// (lane 0 ends with the minimum). The modelled cost is the classic warp
+/// network's 15 shuffle stages; the host sorts natively, which yields the
+/// same lanes because sorting is deterministic up to equal values.
 ///
-/// The tiled k-NN-set strategy uses it to sort a tile of 32 packed
-/// candidates before merging them into a point's k-set.
+/// The tiled strategy submits its runs through KnnSetArray::merge_tile,
+/// which charges the same network but sorts only the lanes the k-NN bound
+/// lets through.
 template <typename T>
 inline void bitonic_sort_lanes(Warp& w, Lanes<T>& v) {
-  for (int k = 2; k <= kWarpSize; k <<= 1) {
-    for (int j = k >> 1; j > 0; j >>= 1) {
-      const Lanes<T> partner = w.shfl_xor(v, j);
-      for (int l = 0; l < kWarpSize; ++l) {
-        const bool lower = (l & j) == 0;
-        const bool ascending = (l & k) == 0;
-        const bool keep_min = (lower == ascending);
-        const T a = v[l];
-        const T b = partner[l];
-        v[l] = keep_min ? (b < a ? b : a) : (a < b ? b : a);
-      }
-    }
-  }
+  w.stats().warp_collectives += kBitonicSortCollectives;
+  std::sort(v.begin(), v.end());
 }
 
-/// Merges a sorted ascending run of 32 lane values into a sorted ascending
+/// Merges a sorted ascending run (at most 32 values) into a sorted ascending
 /// k-element list, keeping the k smallest. `list` is both input and output;
 /// `tmp` must have room for list.size() elements. Duplicate values (the same
 /// candidate submitted by two trees) collapse to one entry; when dedup
 /// shrinks the merged prefix the tail is filled with `pad` (the "empty slot"
 /// sentinel, which must compare greater-or-equal to every real value).
 ///
+/// The list is written back with relaxed atomic stores: a k-NN row is read
+/// without its lock (KnnSetArray::peek_worst_sorted) while a merge holding
+/// the lock rewrites it.
+///
 /// Modelled cost: the merge-path steps a warp would execute —
 /// ceil((k + 32) / 32) collective rounds — are charged to the stats.
 template <typename T>
-inline void merge_sorted_run(Warp& w, std::span<T> list, const Lanes<T>& run,
-                             std::span<T> tmp, T pad) {
+inline void merge_sorted_run(Warp& w, std::span<T> list,
+                             std::span<const T> run, std::span<T> tmp, T pad) {
   const std::size_t k = list.size();
   w.stats().warp_collectives += (k + kWarpSize * 2 - 1) / kWarpSize;
 
   std::size_t li = 0;  // cursor in list
-  int ri = 0;          // cursor in run
+  std::size_t ri = 0;  // cursor in run
   std::size_t out = 0;
   T prev{};
   bool have_prev = false;
-  while (out < k && (li < k || ri < kWarpSize)) {
+  while (out < k && (li < k || ri < run.size())) {
     T next;
-    if (li < k && (ri >= kWarpSize || !(run[ri] < list[li]))) {
+    if (li < k && (ri >= run.size() || !(run[ri] < list[li]))) {
       next = list[li++];
     } else {
       next = run[ri++];
@@ -69,7 +69,9 @@ inline void merge_sorted_run(Warp& w, std::span<T> list, const Lanes<T>& run,
     have_prev = true;
   }
   while (out < k) tmp[out++] = pad;
-  for (std::size_t i = 0; i < k; ++i) list[i] = tmp[i];
+  for (std::size_t i = 0; i < k; ++i) {
+    std::atomic_ref<T>(list[i]).store(tmp[i], std::memory_order_relaxed);
+  }
 }
 
 /// Warp-cooperative sort of a scratch array (ascending). On hardware this
