@@ -128,12 +128,14 @@ INSTANTIATE_TEST_SUITE_P(
         Pinned{Strategy::kAtomic, Compression::kSq8,
                0xA900F64DC6BE95A5ULL,
                {82208u, 7908096u, 19897712u, 319616u, 1075545u, 4160u}},
+        // Sorted rows keep each id once at its smaller SQ8 distance; basic
+        // and atomic rows keep the first distance an id arrives with.
         Pinned{Strategy::kTiled, Compression::kSq8,
-               0xA3A1A03230073CD0ULL,
-               {80772u, 5617088u, 5203644u, 861696u, 174399u, 8320u}},
+               0x287C312DC33ED12EULL,
+               {82208u, 5686016u, 5344692u, 881536u, 176479u, 8320u}},
         Pinned{Strategy::kShared, Compression::kSq8,
-               0xA3A1A03230073CD0ULL,
-               {80772u, 6917568u, 5283900u, 456576u, 868645u, 5056u}}),
+               0x287C312DC33ED12EULL,
+               {82208u, 6986496u, 5411252u, 462720u, 870511u, 5056u}}),
     [](const ::testing::TestParamInfo<Pinned>& info) {
       return std::string(strategy_name(info.param.strategy)) + "_" +
              compression_name(info.param.compression);

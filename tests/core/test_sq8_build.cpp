@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/knn_set.hpp"
 #include "core/graph_search.hpp"
 #include "data/graph_io.hpp"
 #include "data/synthetic.hpp"
@@ -210,6 +212,48 @@ TEST(Sq8Build, CheckpointResumeReproducesBuild) {
 
 // Graph search through the compressed tier: neighbors carry exact fp32
 // distances, and recall against the uncompressed search stays high.
+// SQ8 scoring is asymmetric: the leaf tile offers d(a, decode(b)) to both a
+// and b, while refinement offers d(p, decode(r)). So one pair can reach a
+// sorted row with two distances, and the row must keep only the smaller:
+// a second copy of an id wastes a slot of the rerank pool.
+TEST(Sq8Build, SortedRowsHoldEachIdOnce) {
+  ThreadPool pool(2);
+  const FloatMatrix pts = data::make_clusters(1500, 32, 12, 0.15f, 71);
+  for (const Strategy strategy : {Strategy::kTiled, Strategy::kShared}) {
+    for (const Compression compression :
+         {Compression::kNone, Compression::kSq8}) {
+      BuildParams params;
+      params.k = 10;
+      params.num_trees = 8;
+      params.refine_iters = 2;
+      params.strategy = strategy;
+      params.compression = compression;
+      const std::size_t k_build =
+          compression == Compression::kSq8
+              ? effective_rerank_depth(params.k, params.rerank_depth)
+              : params.k;
+      KnnSetArray sets(pts.rows(), k_build);
+      KnngBuilder(pool, params).build(pts, &sets);
+
+      std::size_t rows_with_duplicates = 0;
+      std::vector<std::uint32_t> ids;
+      for (std::size_t p = 0; p < pts.rows(); ++p) {
+        ids.clear();
+        for (std::size_t s = 0; s < k_build; ++s) {
+          const std::uint64_t v = sets.row(p)[s];
+          if (!simt::Packed::is_empty(v)) ids.push_back(simt::Packed::id(v));
+        }
+        std::sort(ids.begin(), ids.end());
+        if (std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
+          ++rows_with_duplicates;
+        }
+      }
+      EXPECT_EQ(rows_with_duplicates, 0u)
+          << strategy_name(strategy) << "/" << compression_name(compression);
+    }
+  }
+}
+
 TEST(Sq8Search, CompressedSearchMatchesFp32) {
   ThreadPool pool(2);
   const FloatMatrix pts = data::make_clusters(1200, 24, 10, 0.15f, 3);
