@@ -1,9 +1,10 @@
 // Tab. 2 — substrate microbenchmarks (ablation of the enabling machinery).
 //
 // Throughput of the warp collectives, the in-register bitonic sort, the
-// sorted-run merge, the tiled run submission, and the packed atomic-min
-// under single- and multi-warp contention. These are the primitive costs the three strategies are built
-// from; their ratios explain the strategy crossovers.
+// sorted-run merge, the tiled run submission, the atomic insert, and the
+// packed atomic-min under single- and multi-warp contention. These are the
+// primitive costs the three strategies are built from; their ratios explain
+// the strategy crossovers.
 
 #include <benchmark/benchmark.h>
 
@@ -81,6 +82,9 @@ void BM_BitonicSort32(benchmark::State& state) {
 }
 BENCHMARK(BM_BitonicSort32);
 
+// Sorted runs come from a pool built before the timed loop, so only the
+// merge is timed. Its loop emits k words whatever the values, so the list
+// falling over the iterations does not change the cost.
 void BM_MergeSortedRun(benchmark::State& state) {
   Fixture f;
   const std::size_t k = static_cast<std::size_t>(state.range(0));
@@ -88,10 +92,16 @@ void BM_MergeSortedRun(benchmark::State& state) {
   std::vector<std::uint64_t> list(k), tmp(k);
   for (auto& x : list) x = rng.next_below(1U << 30);
   std::sort(list.begin(), list.end());
-  for (auto _ : state) {
-    auto run = make_lanes<std::uint64_t>([&](int) { return rng.next_below(1U << 30); });
+  std::vector<Lanes<std::uint64_t>> runs(256);
+  for (auto& run : runs) {
+    run = make_lanes<std::uint64_t>([&](int) { return rng.next_below(1U << 30); });
     std::sort(run.begin(), run.end());
-    merge_sorted_run<std::uint64_t>(f.warp_, list, run, tmp, Packed::kEmpty);
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    merge_sorted_run<std::uint64_t>(f.warp_, list, runs[next], tmp,
+                                    Packed::kEmpty);
+    next = (next + 1) % runs.size();
     benchmark::DoNotOptimize(list.data());
   }
   state.SetItemsProcessed(state.iterations() * kWarpSize);
@@ -133,6 +143,32 @@ void BM_MergeTile(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kWarpSize);
 }
 BENCHMARK(BM_MergeTile)->ArgName("merged")->Arg(0)->Arg(1);
+
+// The atomic strategy's insert, core::KnnSetArray::insert_atomic, into a
+// full k=16 row with distances 1..16. Arg 1: the candidate (distance 20) is
+// at or above the row's bound word, so the insert ends after one 8-byte
+// load. Arg 0: the candidate (distance 0.5, a new id) passes the bound, so
+// the insert scans the row, CASes its worst slot and lowers the bound. Each
+// iteration restores the row first (16 words and the bound).
+void BM_InsertAtomic(benchmark::State& state) {
+  Fixture f;
+  const bool pruned = state.range(0) != 0;
+  constexpr std::size_t k = 16;
+  std::vector<std::uint64_t> row(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    row[i] = Packed::make(static_cast<float>(i + 1), static_cast<std::uint32_t>(i));
+  }
+  core::KnnSetArray sets(1, k);
+  const std::uint64_t cand = Packed::make(pruned ? 20.0f : 0.5f, 100);
+  for (auto _ : state) {
+    sets.restore(row);
+    sets.insert_atomic(f.warp_, 0, cand);
+    benchmark::DoNotOptimize(sets.row(0));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_InsertAtomic)->ArgName("pruned")->Arg(0)->Arg(1);
 
 // The pair shape of RowScorer over fp32 rows: one query row against row 1.
 void BM_WarpL2Dims(benchmark::State& state) {

@@ -412,6 +412,8 @@ BuildResult KnngBuilder::run(const FloatMatrix& points,
   if (detector) {
     detector->label_region(sets.row(0), n * k_build * sizeof(std::uint64_t),
                            "knn_sets");
+    detector->label_region(sets.bounds().data(), n * sizeof(std::uint64_t),
+                           "knn_bounds");
   }
 
   const auto write_ckpt = [&](std::uint32_t rounds_done) {

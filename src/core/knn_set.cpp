@@ -13,7 +13,11 @@ namespace wknng::core {
 using simt::Packed;
 
 KnnSetArray::KnnSetArray(std::size_t n, std::size_t k)
-    : n_(n), k_(k), sets_(n * k, Packed::kEmpty), locks_(n) {
+    : n_(n),
+      k_(k),
+      sets_(n * k, Packed::kEmpty),
+      bounds_(n, Packed::kEmpty),
+      locks_(n) {
   WKNNG_CHECK_MSG(k > 0, "k must be positive");
   WKNNG_CHECK_MSG(n > 0, "n must be positive");
 }
@@ -25,17 +29,18 @@ struct ScanResult {
   bool duplicate = false;      ///< cand's id already present
   std::size_t worst_slot = 0;  ///< index of the largest packed value
   std::uint64_t worst_value = 0;
+  std::uint64_t second_value = 0;  ///< largest value outside worst_slot
 };
 
 /// Scans k slots in ceil(k/32) lane-parallel rounds, looking for a duplicate
-/// of cand's id and for the worst slot. `atomic` selects load discipline.
+/// of cand's id, the worst slot and the second-worst value (0 when k is 1).
+/// `atomic` selects load discipline.
 /// Charges the modelled costs: k*8 bytes of global reads, one ballot per
 /// round, one argmax-reduce at the end.
 ScanResult scan_slots(simt::Warp& w, const std::uint64_t* slots, std::size_t k,
                       std::uint64_t cand, bool atomic) {
   const std::uint32_t cand_id = Packed::id(cand);
   ScanResult r;
-  r.worst_value = 0;
 
   const std::size_t rounds = (k + simt::kWarpSize - 1) / simt::kWarpSize;
   w.stats().warp_collectives += rounds;  // per-round duplicate ballot
@@ -49,8 +54,11 @@ ScanResult scan_slots(simt::Warp& w, const std::uint64_t* slots, std::size_t k,
       return r;
     }
     if (s == 0 || v > r.worst_value) {
+      r.second_value = r.worst_value;
       r.worst_value = v;
       r.worst_slot = s;
+    } else if (v > r.second_value) {
+      r.second_value = v;
     }
   }
   w.stats().warp_collectives += 5;  // argmax reduction
@@ -110,7 +118,7 @@ void KnnSetArray::insert_basic(simt::Warp& w, std::uint32_t dst,
     return;
   }
   locks_.acquire(dst, w.stats());
-  std::uint64_t* slots = row(dst);
+  std::uint64_t* slots = mutable_row(dst);
   const ScanResult scan = scan_slots(w, slots, k_, cand, /*atomic=*/false);
   if (!scan.duplicate && cand < scan.worst_value) {
     simt::plain_store(slots[scan.worst_slot], cand);
@@ -125,14 +133,27 @@ void KnnSetArray::insert_atomic(simt::Warp& w, std::uint32_t dst,
     ++w.stats().nonfinite_dropped;
     return;
   }
-  std::uint64_t* slots = row(dst);
+  std::uint64_t* slots = mutable_row(dst);
+  std::uint64_t& bound_word = bounds_[dst];
   while (true) {
+    // The bound is at least the row's worst, so a candidate at or above it
+    // is one the scan would reject too.
+    w.count_read(sizeof(std::uint64_t));
+    const std::uint64_t bound = simt::atomic_load(bound_word);
+    if (cand >= bound) return;
     const ScanResult scan = scan_slots(w, slots, k_, cand, /*atomic=*/true);
     if (scan.duplicate) return;
     if (cand >= scan.worst_value) return;  // not better than the current worst
     std::uint64_t expected = scan.worst_value;
     if (simt::atomic_cas(slots[scan.worst_slot], expected, cand, w.stats())) {
       w.count_write(sizeof(std::uint64_t));
+      // The other slots only fell since the scan read them, so the row's
+      // worst is now at most this.
+      const std::uint64_t worst = std::max(cand, scan.second_value);
+      if (worst < bound) {
+        simt::atomic_store(bound_word, worst);
+        w.count_write(sizeof(std::uint64_t));
+      }
       return;
     }
     // Lost the race: the slot changed under us; rescan and retry.
@@ -186,7 +207,7 @@ void KnnSetArray::submit_run(simt::Warp& w, std::uint32_t dst,
   const std::size_t mark = w.scratch().mark();
   auto tmp = w.scratch().alloc<std::uint64_t>(k_);
   locks_.acquire(dst, w.stats());
-  std::span<std::uint64_t> list(row(dst), k_);
+  std::span<std::uint64_t> list(mutable_row(dst), k_);
   w.record_read(list.data(), k_);
   const std::size_t fresh = resolve_known_ids(list, survivors);
   simt::merge_sorted_run<std::uint64_t>(w, list, survivors.first(fresh), tmp,
@@ -231,12 +252,24 @@ void KnnSetArray::restore(std::span<const std::uint64_t> words) {
                   "checkpoint state has " << words.size() << " words, expected "
                                           << n_ * k_);
   std::copy(words.begin(), words.end(), sets_.data());
+  for (std::size_t p = 0; p < n_; ++p) {
+    bounds_[p] = *std::max_element(row(p), row(p) + k_);
+  }
+}
+
+void KnnSetArray::write_row(std::uint32_t p,
+                            std::span<const std::uint64_t> words) {
+  WKNNG_CHECK_MSG(words.size() == k_,
+                  "row has " << words.size() << " words, expected " << k_);
+  std::copy(words.begin(), words.end(), mutable_row(p));
+  bounds_[p] = *std::max_element(words.begin(), words.end());
 }
 
 void KnnSetArray::grow(std::size_t new_n) {
   WKNNG_CHECK_MSG(new_n >= n_, "grow cannot shrink: " << new_n << " < " << n_);
   if (new_n == n_) return;
   sets_.resize_preserving(new_n * k_, Packed::kEmpty);
+  bounds_.resize_preserving(new_n, Packed::kEmpty);
   locks_.assign(new_n);  // all locks idle by precondition
   n_ = new_n;
 }
@@ -245,6 +278,7 @@ void KnnSetArray::shrink(std::size_t new_n) {
   WKNNG_CHECK_MSG(new_n <= n_, "shrink cannot grow: " << new_n << " > " << n_);
   if (new_n == n_) return;
   sets_.resize_preserving(new_n * k_, Packed::kEmpty);
+  bounds_.resize_preserving(new_n);
   locks_.assign(new_n);  // all locks idle by precondition
   n_ = new_n;
 }

@@ -24,6 +24,13 @@ namespace wknng::core {
 ///  * kTiled rows are kept sorted ascending with each id once (merge-based
 ///    updates).
 /// Extraction normalises both into a sorted, deduplicated KnnGraph.
+///
+/// Every row also has a bound word, an upper bound on the row's worst
+/// packed word, which kAtomic reads before it scans the row. Every strategy's
+/// insert only lowers a row's worst, so a bound that is stale is only too
+/// high and stays valid. Writes that can raise a row's worst (restore,
+/// write_row) recompute its bound; a bound below the worst would silently
+/// drop true neighbours, which is why no mutable row access is public.
 class KnnSetArray {
  public:
   KnnSetArray(std::size_t n, std::size_t k);
@@ -31,10 +38,19 @@ class KnnSetArray {
   std::size_t num_points() const { return n_; }
   std::size_t k() const { return k_; }
 
-  /// Raw row access (packed words). Concurrent use must go through the
-  /// strategy member functions.
-  std::uint64_t* row(std::size_t p) { return sets_.data() + p * k_; }
+  /// Read-only row access (packed words). Writes go through the strategy
+  /// member functions or write_row.
   const std::uint64_t* row(std::size_t p) const { return sets_.data() + p * k_; }
+
+  /// The n bound words, one per row (host-side reads: tests and the race
+  /// detector's region labels).
+  std::span<const std::uint64_t> bounds() const { return bounds_.span(); }
+
+  /// Overwrites row p with `words` (exactly k) and resets its bound to their
+  /// largest word. For a warp that owns row p outright, such as the dynamic
+  /// index's row repair, which can raise a row's worst. The caller charges
+  /// the row write; the bound store is part of it.
+  void write_row(std::uint32_t p, std::span<const std::uint64_t> words);
 
   // --- Strategy: basic (per-point lock, scan & replace) -------------------
 
@@ -45,8 +61,15 @@ class KnnSetArray {
 
   // --- Strategy: atomic (lock-free CAS on the worst slot) -----------------
 
-  /// Lock-free insert: scan (atomic loads) for duplicate/worst, then CAS the
-  /// worst slot; on a lost race, rescan and retry. cas_retries in the warp
+  /// Lock-free insert. Reads dst's bound word first (8 bytes) and returns if
+  /// cand is at or above it: the scan would reject cand too. Otherwise
+  /// scans (atomic loads) for a duplicate, the worst and the second-worst
+  /// slot, then CASes the worst slot; on a lost race, it rereads the bound
+  /// and retries. After a successful CAS the row's worst is at most
+  /// max(cand, second-worst); if that is below the bound it read, it stores
+  /// it with a relaxed store (8 bytes). A store that lands late may raise
+  /// the bound, but every stored value was an upper bound when computed and
+  /// slot words only fall, so the bound stays valid. cas_retries in the warp
   /// stats measures contention.
   void insert_atomic(simt::Warp& w, std::uint32_t dst, std::uint64_t cand);
 
@@ -113,12 +136,14 @@ class KnnSetArray {
   std::span<const std::uint64_t> words() const { return sets_.span(); }
 
   /// Overwrites the packed state from a checkpoint image of exactly n*k
-  /// words (throws wknng::Error on size mismatch). Host-side only.
+  /// words (throws wknng::Error on size mismatch) and recomputes every
+  /// row's bound. Host-side only.
   void restore(std::span<const std::uint64_t> words);
 
-  /// Grows the array to `new_n` points (existing sets preserved, new sets
-  /// empty). Host-side only — must not race with running kernels. Used by
-  /// the dynamic index when a batch of rows is inserted.
+  /// Grows the array to `new_n` points (existing sets and bounds preserved,
+  /// new sets empty with kEmpty bounds). Host-side only — must not race
+  /// with running kernels. Used by the dynamic index when a batch of rows
+  /// is inserted.
   void grow(std::size_t new_n);
 
   /// Shrinks the array to `new_n` points, keeping rows [0, new_n). Host-side
@@ -126,6 +151,8 @@ class KnnSetArray {
   void shrink(std::size_t new_n);
 
  private:
+  std::uint64_t* mutable_row(std::size_t p) { return sets_.data() + p * k_; }
+
   /// Degenerate single-candidate path for kTiled (wraps the candidate into a
   /// one-element run).
   void insert_tiled_single(simt::Warp& w, std::uint32_t dst, std::uint64_t cand);
@@ -139,6 +166,7 @@ class KnnSetArray {
   std::size_t n_;
   std::size_t k_;
   simt::DeviceBuffer<std::uint64_t> sets_;
+  simt::DeviceBuffer<std::uint64_t> bounds_;
   simt::SpinLockArray locks_;
 };
 

@@ -550,14 +550,14 @@ std::size_t DynamicKnng::apply_repair(std::size_t rounds, bool replaying) {
       }
 
       // Own-row rewrite, sorted ascending with kEmpty padding — valid under
-      // every strategy's row invariant.
+      // every strategy's row invariant. Dropped tombstones can leave the row
+      // short, raising its worst, so the write resets the row's bound.
       auto result = best.take_sorted();
-      std::uint64_t* out = sets_.row(p);
-      for (std::size_t s = 0; s < k; ++s) {
-        out[s] = s < result.size()
-                     ? Packed::make(result[s].dist, result[s].id)
-                     : Packed::kEmpty;
+      std::vector<std::uint64_t> out(k, Packed::kEmpty);
+      for (std::size_t s = 0; s < result.size(); ++s) {
+        out[s] = Packed::make(result[s].dist, result[s].id);
       }
+      sets_.write_row(p, out);
       w.count_write(k * sizeof(std::uint64_t));
     });
 

@@ -113,9 +113,12 @@ INSTANTIATE_TEST_SUITE_P(
         Pinned{Strategy::kBasic, Compression::kNone,
                0xFEF208198220C2DFULL,
                {72590u, 6114400u, 17953792u, 187072u, 1069791u, 1024u}},
+        // Atomic reads a row's bound word before it scans the row: most
+        // candidates cost 8 bytes and no collective, and a CAS that lowers
+        // the row's worst also stores the bound.
         Pinned{Strategy::kAtomic, Compression::kNone,
                0xFEF208198220C2DFULL,
-               {72590u, 6114400u, 17953792u, 187072u, 1069791u, 1024u}},
+               {72590u, 6114400u, 12806704u, 302144u, 501613u, 1024u}},
         Pinned{Strategy::kTiled, Compression::kNone,
                0xFEF208198220C2DFULL,
                {72590u, 3791520u, 3836800u, 371200u, 156878u, 8256u}},
@@ -127,7 +130,7 @@ INSTANTIATE_TEST_SUITE_P(
                {82208u, 7908096u, 19897712u, 319616u, 1075545u, 4160u}},
         Pinned{Strategy::kAtomic, Compression::kSq8,
                0xA900F64DC6BE95A5ULL,
-               {82208u, 7908096u, 19897712u, 319616u, 1075545u, 4160u}},
+               {82208u, 7908096u, 10497392u, 490432u, 592249u, 4160u}},
         // Sorted rows keep each id once at its smaller SQ8 distance; basic
         // and atomic rows keep the first distance an id arrives with.
         Pinned{Strategy::kTiled, Compression::kSq8,

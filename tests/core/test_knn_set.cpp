@@ -362,6 +362,133 @@ TEST(KnnSetTiled, MergeTileMatchesSortThenMergeReference) {
   EXPECT_GT(merged, 100u);
 }
 
+/// The atomic insert with no bound word: scan the whole row for the id and
+/// the first worst slot, replace it if cand is smaller. One thread, so the
+/// replace needs no CAS.
+void insert_scan_only(std::vector<std::uint64_t>& row, std::uint64_t cand) {
+  if (!Packed::is_finite(cand)) return;
+  std::size_t worst = 0;
+  for (std::size_t s = 0; s < row.size(); ++s) {
+    if (!Packed::is_empty(row[s]) && Packed::id(row[s]) == Packed::id(cand)) {
+      return;
+    }
+    if (row[s] > row[worst]) worst = s;
+  }
+  if (cand < row[worst]) row[worst] = cand;
+}
+
+std::vector<std::uint64_t> sorted_row(const KnnSetArray& sets, std::size_t p) {
+  std::vector<std::uint64_t> row(sets.row(p), sets.row(p) + sets.k());
+  std::sort(row.begin(), row.end());
+  return row;
+}
+
+// insert_atomic against the scan-only rule: the bound may only reject
+// candidates the scan rejects too, so the rows hold the same words, and the
+// bound never falls below the row's worst. Random streams repeat ids and
+// carry non-finite words; rows start empty, partly filled or full.
+TEST(KnnSetAtomic, BoundPruneMatchesScanOnlyInsert) {
+  Rng rng(2028);
+  std::size_t pruned = 0;
+  std::size_t scanned = 0;
+  for (const std::size_t k : {1u, 3u, 16u, 32u, 45u}) {
+    for (int trial = 0; trial < 60; ++trial) {
+      const std::size_t filled =
+          trial % 3 == 0 ? k : trial % 3 == 1 ? 0 : rng.next_below(k + 1);
+      std::vector<std::uint64_t> ref(k, Packed::kEmpty);
+      for (std::size_t s = 0; s < filled; ++s) {
+        ref[s] = Packed::make(rng.next_float() * 4.0f,
+                              static_cast<std::uint32_t>(1000 + s));
+      }
+      KnnSetArray sets(1, k);
+      sets.restore(ref);
+      simt::WarpScratch scratch;
+      simt::Stats stats;
+      simt::Warp w(0, scratch, stats);
+      const std::uint32_t id_range = static_cast<std::uint32_t>(2 * k + 4);
+      for (int i = 0; i < 200; ++i) {
+        float dist = rng.next_float() * 6.0f;
+        if (rng.next_below(12) == 0) {
+          const float bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                               std::numeric_limits<float>::infinity(), -1.0f};
+          dist = bad[rng.next_below(3)];
+        }
+        // Ids from a small range repeat, and some name the initial entries.
+        const auto id = static_cast<std::uint32_t>(
+            rng.next_below(4) == 0 ? 1000 + rng.next_below(filled + 1)
+                                   : rng.next_below(id_range));
+        const std::uint64_t cand = Packed::make(dist, id);
+        const std::uint64_t reads = stats.global_reads;
+        sets.insert_atomic(w, 0, cand);
+        insert_scan_only(ref, cand);
+        if (Packed::is_finite(cand)) {
+          (stats.global_reads - reads == sizeof(std::uint64_t) ? pruned
+                                                              : scanned) += 1;
+        }
+
+        std::vector<std::uint64_t> want = ref;
+        std::sort(want.begin(), want.end());
+        ASSERT_EQ(sorted_row(sets, 0), want)
+            << "k=" << k << " trial " << trial << " insert " << i;
+        ASSERT_GE(sets.bounds()[0], want.back())
+            << "k=" << k << " trial " << trial << " insert " << i;
+      }
+    }
+  }
+  // Both outcomes of the bound check were exercised.
+  EXPECT_GT(pruned, 1000u);
+  EXPECT_GT(scanned, 1000u);
+}
+
+// Host-side rewrites leave every bound at or above its row's worst: restore
+// recomputes the bounds (here above the ones inserts had lowered), grow adds
+// kEmpty bounds and shrink keeps the surviving rows' bounds. A candidate
+// between the old and the new worst must land after each.
+TEST(KnnSetAtomic, RestoreGrowShrinkKeepBoundsValid) {
+  simt::WarpScratch scratch;
+  simt::Stats stats;
+  simt::Warp w(0, scratch, stats);
+  const std::size_t k = 3;
+  KnnSetArray sets(2, k);
+  const auto bounds_hold = [&] {
+    ASSERT_EQ(sets.bounds().size(), sets.num_points());
+    for (std::size_t p = 0; p < sets.num_points(); ++p) {
+      EXPECT_GE(sets.bounds()[p], sorted_row(sets, p).back()) << "row " << p;
+    }
+  };
+  for (std::uint32_t p = 0; p < 2; ++p) {
+    for (std::uint32_t i = 1; i <= 4; ++i) {
+      sets.insert_atomic(w, p, Packed::make(static_cast<float>(i), 10 + i));
+    }
+  }
+  EXPECT_EQ(sets.bounds()[0], Packed::make(3.0f, 13));
+  bounds_hold();
+
+  // Row 0 restored to a larger worst, row 1 to a short row.
+  std::vector<std::uint64_t> image = {
+      Packed::make(5.0f, 20), Packed::make(6.0f, 21), Packed::make(7.0f, 22),
+      Packed::make(1.0f, 11), Packed::kEmpty,         Packed::kEmpty};
+  sets.restore(image);
+  bounds_hold();
+  sets.insert_atomic(w, 0, Packed::make(6.5f, 30));
+  sets.insert_atomic(w, 1, Packed::make(8.0f, 31));
+  EXPECT_EQ(sorted_row(sets, 0).back(), Packed::make(6.5f, 30));
+  EXPECT_EQ(sorted_row(sets, 1)[1], Packed::make(8.0f, 31));
+  bounds_hold();
+
+  sets.grow(4);
+  bounds_hold();
+  EXPECT_EQ(sets.bounds()[3], Packed::kEmpty);
+  sets.insert_atomic(w, 3, Packed::make(9.0f, 32));
+  EXPECT_EQ(sorted_row(sets, 3)[0], Packed::make(9.0f, 32));
+  bounds_hold();
+
+  const std::uint64_t kept = sets.bounds()[0];
+  sets.shrink(1);
+  bounds_hold();
+  EXPECT_EQ(sets.bounds()[0], kept);
+}
+
 TEST(KnnSetAtomic, ContentionIsMeasured) {
   ThreadPool pool(4);
   if (pool.thread_count() < 2) GTEST_SKIP() << "needs >= 2 threads";

@@ -526,6 +526,52 @@ TEST(DynamicKnng, RepairRefillsRowsWithDistinctNeighbors) {
   fs::remove_all(dir);
 }
 
+// Repair can raise a row's worst: tombstones leave the row short, so its
+// worst becomes kEmpty. The atomic strategy prunes inserts against a
+// per-row bound, so the repair write must reset that bound, or an insert
+// between the old and the new worst would be silently dropped.
+TEST(DynamicKnng, AtomicInsertLandsInARowRepairLeftShort) {
+  ThreadPool pool(2);
+  const auto dir = testing::unique_test_dir("dyn_short_row");
+  // Row 0 sits at the origin with four near neighbors; the rest are far.
+  FloatMatrix base(16, 2);
+  const float near[4][2] = {{1.0f, 0.0f}, {0.0f, 1.1f}, {-1.2f, 0.0f},
+                            {0.0f, -1.3f}};
+  for (std::size_t i = 0; i < 4; ++i) {
+    base.row(i + 1)[0] = near[i][0];
+    base.row(i + 1)[1] = near[i][1];
+  }
+  for (std::size_t i = 5; i < 16; ++i) {
+    base.row(i)[0] = 10.0f + static_cast<float>(i);
+    base.row(i)[1] = 10.0f;
+  }
+  core::BuildParams bp = small_params();
+  bp.k = 4;
+  bp.strategy = core::Strategy::kAtomic;
+  DynamicKnng dyn(pool, bp, base, dir.string(), manual());
+  ASSERT_EQ(dyn.snapshot()->graph.row_size(0), 4u);
+  const float old_worst = dyn.snapshot()->graph.row(0)[3].dist;
+
+  // Leave row 0 two live peers at most: the repaired row is short.
+  std::vector<std::uint32_t> victims;
+  for (std::uint32_t v = 1; v < 14; ++v) victims.push_back(v);
+  dyn.erase(victims);
+  ASSERT_GT(dyn.repair(), 0u);
+  ASSERT_LT(dyn.snapshot()->graph.row_size(0), 4u);
+
+  // Row 0 is the new point's nearest live peer, farther than the old worst.
+  FloatMatrix point(1, 2);
+  point.row(0)[0] = 2.0f;
+  const float dist = 4.0f;
+  ASSERT_GT(dist, old_worst);
+  const std::vector<std::uint32_t> ids = dyn.insert(point);
+  const auto row = dyn.snapshot()->graph.row(0);
+  EXPECT_TRUE(std::any_of(row.begin(), row.end(), [&](const Neighbor& nb) {
+    return nb.id == ids[0] && nb.dist == dist;
+  }));
+  fs::remove_all(dir);
+}
+
 // Repair dedups each row's candidate pool on the worker's visited bitmap
 // and must clear every bit it set: afterwards a launch on the same pool finds
 // every worker's bitmap clear, across two repair passes over a grown index.

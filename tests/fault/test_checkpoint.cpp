@@ -30,10 +30,10 @@ class CheckpointTest : public ::testing::Test {
     return (dir_ / name).string();
   }
 
-  static BuildParams base_params() {
+  static BuildParams base_params(Strategy strategy = Strategy::kTiled) {
     BuildParams p;
     p.k = 8;
-    p.strategy = Strategy::kTiled;
+    p.strategy = strategy;
     p.num_trees = 4;
     p.leaf_size = 48;
     p.refine_iters = 2;
@@ -141,50 +141,59 @@ TEST_F(CheckpointTest, UnsortedQuarantineListThrows) {
   EXPECT_THROW(data::read_checkpoint(path("q.ckpt")), Error);
 }
 
+// Both resume tests run for tiled (sorted rows) and atomic, whose rows
+// carry bound words that restore rebuilds from the checkpoint image.
 TEST_F(CheckpointTest, ResumeAfterLeafIsBitIdentical) {
   ThreadPool pool;
   const FloatMatrix points = data::make_clusters(400, 16, 8, 0.05f, 7);
 
-  BuildParams full_params = base_params();
-  const BuildResult full = build_knng(pool, points, full_params);
+  for (const Strategy strategy : {Strategy::kTiled, Strategy::kAtomic}) {
+    SCOPED_TRACE(strategy_name(strategy));
+    const BuildResult full = build_knng(pool, points, base_params(strategy));
 
-  // "Interrupt" right after the leaf pass: a refine_iters=0 run leaves the
-  // checkpoint exactly where an interrupted full build would after phase 2
-  // (the signature deliberately excludes refine_iters).
-  BuildParams leaf_only = base_params();
-  leaf_only.refine_iters = 0;
-  leaf_only.checkpoint_path = path("leaf.ckpt");
-  build_knng(pool, points, leaf_only);
+    // "Interrupt" right after the leaf pass: a refine_iters=0 run leaves the
+    // checkpoint exactly where an interrupted full build would after phase 2
+    // (the signature deliberately excludes refine_iters).
+    BuildParams leaf_only = base_params(strategy);
+    leaf_only.refine_iters = 0;
+    leaf_only.checkpoint_path = path("leaf.ckpt");
+    build_knng(pool, points, leaf_only);
 
-  const BuildResult resumed =
-      KnngBuilder(pool, base_params()).resume(points, path("leaf.ckpt"));
-  EXPECT_EQ(resumed.health.rounds_completed, 2u);
-  EXPECT_FALSE(resumed.health.degraded);
-  EXPECT_TRUE(graphs_equal(full.graph, resumed.graph));
+    const BuildResult resumed = KnngBuilder(pool, base_params(strategy))
+                                    .resume(points, path("leaf.ckpt"));
+    EXPECT_EQ(resumed.health.rounds_completed, 2u);
+    EXPECT_FALSE(resumed.health.degraded);
+    EXPECT_TRUE(graphs_equal(full.graph, resumed.graph));
+  }
 }
 
 TEST_F(CheckpointTest, ResumeAfterRoundIsBitIdentical) {
   ThreadPool pool;
   const FloatMatrix points = data::make_clusters(400, 16, 8, 0.05f, 7);
 
-  BuildParams three = base_params();
-  three.refine_iters = 3;
-  const BuildResult full = build_knng(pool, points, three);
+  for (const Strategy strategy : {Strategy::kTiled, Strategy::kAtomic}) {
+    SCOPED_TRACE(strategy_name(strategy));
+    BuildParams three = base_params(strategy);
+    three.refine_iters = 3;
+    const BuildResult full = build_knng(pool, points, three);
 
-  // Interrupt after round 1: the round-1 checkpoint of a 1-round build is
-  // bitwise the round-1 state of the 3-round build.
-  BuildParams one = base_params();
-  one.refine_iters = 1;
-  one.checkpoint_path = path("round1.ckpt");
-  build_knng(pool, points, one);
+    // Interrupt after round 1: the round-1 checkpoint of a 1-round build is
+    // bitwise the round-1 state of the 3-round build.
+    BuildParams one = base_params(strategy);
+    one.refine_iters = 1;
+    one.checkpoint_path = path("round1.ckpt");
+    build_knng(pool, points, one);
 
-  const data::BuildCheckpoint ckpt = data::read_checkpoint(path("round1.ckpt"));
-  EXPECT_EQ(ckpt.rounds_done, 1u);
+    const data::BuildCheckpoint ckpt =
+        data::read_checkpoint(path("round1.ckpt"));
+    EXPECT_EQ(ckpt.rounds_done, 1u);
 
-  const BuildResult resumed =
-      KnngBuilder(pool, three).resume(points, path("round1.ckpt"));
-  EXPECT_EQ(resumed.health.rounds_completed, 3u);
-  EXPECT_TRUE(graphs_equal(full.graph, resumed.graph));
+    const BuildResult resumed =
+        KnngBuilder(pool, three).resume(points, path("round1.ckpt"));
+    EXPECT_EQ(resumed.health.rounds_completed, 3u);
+    EXPECT_FALSE(resumed.health.degraded);
+    EXPECT_TRUE(graphs_equal(full.graph, resumed.graph));
+  }
 }
 
 TEST_F(CheckpointTest, ResumeWithDifferentParamsThrows) {

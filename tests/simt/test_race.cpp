@@ -41,10 +41,11 @@ std::uint64_t candidate(std::uint32_t warp, std::uint32_t dst, std::size_t i) {
 }
 
 /// The seeded bug: scan-and-replace-worst on the global row with PLAIN
-/// loads/stores and NO lock — the mistake the detector exists to catch.
+/// loads/stores and NO lock — the mistake the detector exists to catch. It
+/// writes past the strategy API on purpose, hence the const_cast.
 void insert_racy(Warp& w, KnnSetArray& sets, std::uint32_t dst,
                  std::uint64_t cand) {
-  std::uint64_t* slots = sets.row(dst);
+  auto* slots = const_cast<std::uint64_t*>(sets.row(dst));
   const std::size_t k = sets.k();
   std::size_t worst = 0;
   for (std::size_t s = 0; s < k; ++s) {
