@@ -2,8 +2,10 @@
 
 // Shared support for the figure/table benchmark binaries: a process-wide
 // thread pool, cached datasets and sampled ground truths (so sweeps do not
-// pay O(n^2 d) per benchmark registration), and the recall-matching helpers
-// implementing the paper's "equivalent accuracy" comparison protocol.
+// pay O(n^2 d) per benchmark registration), and the sampled recall of the
+// paper's "equivalent accuracy" comparison protocol. Benches that tune
+// w-KNNG to a recall target call tuner::tune_wknng with kTruthSeed, so the
+// tuner scores against the same sample sampled_recall reports.
 
 #include <benchmark/benchmark.h>
 
@@ -37,6 +39,9 @@ inline const FloatMatrix& dataset(const data::DatasetSpec& spec) {
   return *slot;
 }
 
+/// Seed of the ground-truth point sample.
+inline constexpr std::uint64_t kTruthSeed = 12345;
+
 /// Cached sampled ground truth (sample of `sample` points, k neighbors).
 inline const exact::SampledTruth& truth(const data::DatasetSpec& spec,
                                         std::size_t k, std::size_t sample) {
@@ -48,7 +53,7 @@ inline const exact::SampledTruth& truth(const data::DatasetSpec& spec,
   auto& slot = cache[key];
   if (!slot) {
     slot = std::make_unique<exact::SampledTruth>(
-        exact::sampled_ground_truth(pool(), dataset(spec), k, sample, 12345));
+        exact::sampled_ground_truth(pool(), dataset(spec), k, sample, kTruthSeed));
   }
   return *slot;
 }
@@ -71,29 +76,6 @@ inline double sampled_recall(const KnnGraph& graph,
                              const data::DatasetSpec& spec, std::size_t k,
                              std::size_t sample = 200) {
   return exact::recall(graph, truth(spec, k, sample));
-}
-
-/// Tunes w-KNNG (trees, then refinement rounds) until the sampled recall
-/// reaches `target`; returns the params found. Mirrors how the paper
-/// configures each system to "equivalent accuracy" before timing it.
-inline core::BuildParams tune_wknng_to_recall(const data::DatasetSpec& spec,
-                                              std::size_t k, double target,
-                                              core::Strategy strategy) {
-  const FloatMatrix& pts = dataset(spec);
-  core::BuildParams params;
-  params.k = k;
-  params.strategy = strategy;
-  params.leaf_size = 64;
-  params.refine_iters = 0;
-  for (std::size_t trees : {2, 4, 8, 16}) {
-    for (std::size_t refine : {0, 1, 2}) {
-      params.num_trees = trees;
-      params.refine_iters = refine;
-      const auto result = core::build_knng(pool(), pts, params);
-      if (sampled_recall(result.graph, spec, k) >= target) return params;
-    }
-  }
-  return params;  // best effort: the largest configuration tried
 }
 
 }  // namespace wknng::bench

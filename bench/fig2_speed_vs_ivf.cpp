@@ -14,6 +14,7 @@
 #include "core/warp_brute_force.hpp"
 #include "ivf/ivf_flat.hpp"
 #include "nndescent/nn_descent.hpp"
+#include "tuner/tuner.hpp"
 
 namespace wknng::bench {
 namespace {
@@ -37,8 +38,15 @@ void BM_Wknng(benchmark::State& state) {
   const FloatMatrix& pts = dataset(w.spec);
   static std::map<int, core::BuildParams> tuned;
   if (!tuned.count(static_cast<int>(state.range(0)))) {
-    tuned[static_cast<int>(state.range(0))] = tune_wknng_to_recall(
-        w.spec, kK, kTargetRecall, core::Strategy::kTiled);
+    core::BuildParams base;
+    base.k = kK;
+    base.strategy = core::Strategy::kTiled;
+    base.leaf_size = 64;
+    tuner::TuneOptions options;
+    options.target_recall = kTargetRecall;
+    options.sample_seed = kTruthSeed;
+    tuned[static_cast<int>(state.range(0))] =
+        tuner::tune_wknng(pool(), pts, base, options).params;
   }
   const core::BuildParams params = tuned[static_cast<int>(state.range(0))];
 

@@ -1,21 +1,18 @@
 // Tab. 2 — substrate microbenchmarks (ablation of the enabling machinery).
 //
-// Throughput of the warp collectives, the in-register bitonic sort, the
-// sorted-run merge, the tiled run submission, the atomic insert, and the
-// packed atomic-min under single- and multi-warp contention. These are the
-// primitive costs the three strategies are built from; their ratios explain
-// the strategy crossovers.
+// Host throughput of the in-register bitonic sort, the sorted-run merge, the
+// tiled run submission, the atomic insert, the distance kernels and the
+// spin lock. These are the primitive costs the three strategies are built
+// from; their ratios explain the strategy crossovers.
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "core/knn_set.hpp"
 #include "kernels/kernels.hpp"
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
 #include "simt/fault.hpp"
-#include "simt/launch.hpp"
 #include "simt/memory.hpp"
 #include "simt/packed.hpp"
 #include "simt/sort.hpp"
@@ -32,36 +29,6 @@ class Fixture {
   Warp warp_;
 };
 
-void BM_ReduceSum(benchmark::State& state) {
-  Fixture f;
-  auto v = make_lanes<float>([](int l) { return static_cast<float>(l); });
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.warp_.reduce_sum(v));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ReduceSum);
-
-void BM_Ballot(benchmark::State& state) {
-  Fixture f;
-  auto pred = make_lanes<bool>([](int l) { return (l & 1) != 0; });
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.warp_.ballot(pred));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_Ballot);
-
-void BM_InclusiveScan(benchmark::State& state) {
-  Fixture f;
-  auto v = make_lanes<int>([](int l) { return l; });
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.warp_.inclusive_scan_sum(v));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_InclusiveScan);
-
 // Inputs come from a pool built before the timed loop: pausing the timer per
 // iteration costs about as much as the sort itself.
 void BM_BitonicSort32(benchmark::State& state) {
@@ -69,7 +36,7 @@ void BM_BitonicSort32(benchmark::State& state) {
   Rng rng(1);
   std::vector<Lanes<std::uint64_t>> pool(256);
   for (auto& v : pool) {
-    v = make_lanes<std::uint64_t>([&](int) { return rng.next_u64(); });
+    for (auto& x : v) x = rng.next_u64();
   }
   std::size_t next = 0;
   for (auto _ : state) {
@@ -94,7 +61,7 @@ void BM_MergeSortedRun(benchmark::State& state) {
   std::sort(list.begin(), list.end());
   std::vector<Lanes<std::uint64_t>> runs(256);
   for (auto& run : runs) {
-    run = make_lanes<std::uint64_t>([&](int) { return rng.next_below(1U << 30); });
+    for (auto& x : run) x = rng.next_below(1U << 30);
     std::sort(run.begin(), run.end());
   }
   std::size_t next = 0;
@@ -127,11 +94,11 @@ void BM_MergeTile(benchmark::State& state) {
   Rng rng(4);
   std::vector<Lanes<std::uint64_t>> runs(256);
   for (auto& run : runs) {
-    run = make_lanes<std::uint64_t>([&](int l) {
+    for (int l = 0; l < kWarpSize; ++l) {
       const float dist = merged ? 32.0f * rng.next_float()
                                 : 16.5f + 16.0f * rng.next_float();
-      return Packed::make(dist, static_cast<std::uint32_t>(100 + l));
-    });
+      run[l] = Packed::make(dist, static_cast<std::uint32_t>(100 + l));
+    }
   }
   std::size_t next = 0;
   for (auto _ : state) {
@@ -292,41 +259,6 @@ void register_kernel_benchmarks() {
   }
 }
 const int kernel_benchmarks_registered = (register_kernel_benchmarks(), 0);
-
-void BM_AtomicMinUncontended(benchmark::State& state) {
-  Stats stats;
-  std::uint64_t cell = ~0ULL;
-  std::uint64_t v = 1ULL << 62;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(atomic_min_u64(cell, --v, stats));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AtomicMinUncontended);
-
-void BM_AtomicMinContended(benchmark::State& state) {
-  // Many warps racing on a handful of cells; reports CAS retry rate.
-  static ThreadPool pool;
-  const std::size_t warps = static_cast<std::size_t>(state.range(0));
-  DeviceBuffer<std::uint64_t> cells(8, ~0ULL);
-  StatsAccumulator acc;
-  for (auto _ : state) {
-    launch_warps(pool, warps, &acc, [&](Warp& w) {
-      Rng rng(9, w.id());
-      for (int i = 0; i < 1000; ++i) {
-        atomic_min_u64(cells[rng.next_below(8)], rng.next_u64() >> 1,
-                       w.stats());
-      }
-    });
-  }
-  const Stats s = acc.total();
-  state.counters["cas_retry_rate"] =
-      s.atomic_ops > 0
-          ? static_cast<double>(s.cas_retries) / static_cast<double>(s.atomic_ops)
-          : 0.0;
-  state.SetItemsProcessed(state.iterations() * warps * 1000);
-}
-BENCHMARK(BM_AtomicMinContended)->Arg(1)->Arg(8)->Arg(64);
 
 // --- Race-instrumentation overhead guard ----------------------------------
 // plain_load/plain_store vs raw access with NO detector installed. The pair

@@ -12,6 +12,7 @@
 #include "bench_common.hpp"
 #include "ivf/ivf_flat.hpp"
 #include "nndescent/nn_descent.hpp"
+#include "tuner/tuner.hpp"
 
 namespace wknng::bench {
 namespace {
@@ -52,8 +53,15 @@ void BM_WknngWork(benchmark::State& state) {
   const FloatMatrix& pts = dataset(kSpec);
   static std::map<int, core::BuildParams> tuned;
   if (!tuned.count(static_cast<int>(state.range(0)))) {
+    core::BuildParams base;
+    base.k = kK;
+    base.strategy = strategy;
+    base.leaf_size = 64;
+    tuner::TuneOptions options;
+    options.target_recall = kTargetRecall;
+    options.sample_seed = kTruthSeed;
     tuned[static_cast<int>(state.range(0))] =
-        tune_wknng_to_recall(kSpec, kK, kTargetRecall, strategy);
+        tuner::tune_wknng(pool(), pts, base, options).params;
   }
   const core::BuildParams params = tuned[static_cast<int>(state.range(0))];
 
@@ -79,6 +87,8 @@ void BM_WknngWork(benchmark::State& state) {
   state.counters["atomics_M"] = static_cast<double>(last.stats.atomic_ops) / 1e6;
   state.counters["locks_M"] =
       static_cast<double>(last.stats.lock_acquires) / 1e6;
+  state.counters["trees"] = static_cast<double>(params.num_trees);
+  state.counters["refine"] = static_cast<double>(params.refine_iters);
 }
 
 void BM_IvfWork(benchmark::State& state) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "simt/cost.hpp"
 #include "simt/sort.hpp"
 
 namespace wknng::core {
@@ -42,8 +43,7 @@ ScanResult scan_slots(simt::Warp& w, const std::uint64_t* slots, std::size_t k,
   const std::uint32_t cand_id = Packed::id(cand);
   ScanResult r;
 
-  const std::size_t rounds = (k + simt::kWarpSize - 1) / simt::kWarpSize;
-  w.stats().warp_collectives += rounds;  // per-round duplicate ballot
+  simt::cost::ballot_rounds(w.stats(), k);  // per-round duplicate ballot
   w.count_read(k * sizeof(std::uint64_t));
 
   for (std::size_t s = 0; s < k; ++s) {
@@ -61,7 +61,7 @@ ScanResult scan_slots(simt::Warp& w, const std::uint64_t* slots, std::size_t k,
       r.second_value = v;
     }
   }
-  w.stats().warp_collectives += 5;  // argmax reduction
+  simt::cost::shuffle_reduce(w.stats());  // argmax reduction
   return r;
 }
 
@@ -168,7 +168,7 @@ std::uint64_t KnnSetArray::peek_worst_sorted(simt::Warp& w,
 
 void KnnSetArray::merge_tile(simt::Warp& w, std::uint32_t dst,
                              const simt::Lanes<std::uint64_t>& run) {
-  w.stats().warp_collectives += simt::kBitonicSortCollectives;
+  simt::cost::bitonic_sort(w.stats());
   submit_run(w, dst, run, /*sorted=*/false);
 }
 
@@ -239,7 +239,7 @@ bool KnnSetArray::contains(simt::Warp& w, std::uint32_t p,
                            std::uint32_t id) const {
   const std::uint64_t* slots = row(p);
   w.count_read(k_ * sizeof(std::uint64_t));
-  w.stats().warp_collectives += (k_ + simt::kWarpSize - 1) / simt::kWarpSize;
+  simt::cost::ballot_rounds(w.stats(), k_);
   for (std::size_t s = 0; s < k_; ++s) {
     const std::uint64_t v = simt::atomic_load(slots[s]);
     if (!Packed::is_empty(v) && Packed::id(v) == id) return true;

@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "core/resilience.hpp"
 #include "core/tiled_block.hpp"
+#include "simt/cost.hpp"
 #include "simt/fault.hpp"
 #include "simt/launch.hpp"
 #include "simt/packed.hpp"
@@ -113,7 +114,8 @@ void bucket_shared(Warp& w, const FloatMatrix& points,
       if (row[s] == cand) return;  // duplicate pair
       if (row[s] > row[worst]) worst = s;
     }
-    w.stats().warp_collectives += (k + kWarpSize - 1) / kWarpSize + 5;
+    simt::cost::ballot_rounds(w.stats(), k);
+    simt::cost::shuffle_reduce(w.stats());
     if (cand < row[worst]) row[worst] = cand;
   };
 

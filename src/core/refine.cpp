@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "core/leaf_knn.hpp"
+#include "simt/cost.hpp"
 #include "simt/fault.hpp"
 #include "simt/launch.hpp"
 #include "simt/packed.hpp"
@@ -99,7 +100,7 @@ std::span<std::uint32_t> gather_candidates(Warp& w, const Adjacency& adj,
   w.count_read((fwd_p.size() + rev_p.size()) * sizeof(std::uint32_t));
   // Per 32-id tile the lanes test-and-set their ids' bits and one ballot
   // compacts the first sightings into the buffer.
-  w.stats().warp_collectives += (raw + kWarpSize - 1) / kWarpSize;
+  simt::cost::ballot_rounds(w.stats(), raw);
 
   std::span<std::uint32_t> cands = buf.subspan(0, count);
   seen.unmark(p);

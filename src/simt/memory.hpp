@@ -91,24 +91,10 @@ inline void plain_store(T& cell, T value) {
   cell = value;
 }
 
-/// Declares a plain read of `count` consecutive cells starting at `base`
-/// (for block transfers where per-element accessor calls would obscure the
-/// kernel). The data itself is accessed by the caller.
-template <typename T>
-inline void plain_read_range(const T* base, std::size_t count) {
-  race_on_range(base, sizeof(T), count, AccessKind::kPlainRead);
-}
-
-/// Declares a plain write of `count` consecutive cells starting at `base`.
-template <typename T>
-inline void plain_write_range(T* base, std::size_t count) {
-  race_on_range(base, sizeof(T), count, AccessKind::kPlainWrite);
-}
-
 // --- Atomic global-memory operations ---------------------------------------
-// Every helper takes the warp's Stats so contention is measurable; the
-// cas_retries counter is the substrate's proxy for the serialisation that
-// atomic conflicts cause on real hardware.
+// The read-modify-write takes the warp's Stats so contention is measurable;
+// the cas_retries counter is the substrate's proxy for the serialisation
+// that atomic conflicts cause on real hardware.
 
 /// Relaxed atomic load (CUDA: plain global load of a volatile cell).
 template <typename T>
@@ -124,14 +110,6 @@ inline void atomic_store(T& cell, T value) {
   std::atomic_ref<T>(cell).store(value, std::memory_order_relaxed);
 }
 
-/// Atomic fetch-add (CUDA atomicAdd).
-template <typename T>
-inline T atomic_add(T& cell, T delta, Stats& stats) {
-  ++stats.atomic_ops;
-  race_on_access(&cell, AccessKind::kAtomicRmw);
-  return std::atomic_ref<T>(cell).fetch_add(delta, std::memory_order_relaxed);
-}
-
 /// Single compare-and-swap attempt (CUDA atomicCAS). On failure `expected`
 /// is updated with the observed value and cas_retries is bumped.
 inline bool atomic_cas(std::uint64_t& cell, std::uint64_t& expected,
@@ -142,18 +120,6 @@ inline bool atomic_cas(std::uint64_t& cell, std::uint64_t& expected,
       expected, desired, std::memory_order_acq_rel, std::memory_order_relaxed);
   if (!ok) ++stats.cas_retries;
   return ok;
-}
-
-/// Atomic minimum on a 64-bit packed candidate (CUDA atomicMin on ull).
-/// Returns the previous value. Loops CAS until the cell is <= `value`.
-inline std::uint64_t atomic_min_u64(std::uint64_t& cell, std::uint64_t value,
-                                    Stats& stats) {
-  std::uint64_t observed = atomic_load(cell);
-  while (observed > value) {
-    if (atomic_cas(cell, observed, value, stats)) return observed;
-  }
-  ++stats.atomic_ops;  // the final (read-only, winning-less) probe
-  return observed;
 }
 
 /// Array of per-element spin locks — the "basic" and "tiled" strategies use
@@ -190,20 +156,6 @@ class SpinLockArray {
       expected = 0;
     }
     race_on_lock_acquire(&locks_[i]);
-  }
-
-  /// Non-blocking attempt; returns true on success.
-  bool try_acquire(std::size_t i, Stats& stats) {
-    std::uint32_t expected = 0;
-    if (locks_[i].compare_exchange_strong(expected, 1,
-                                          std::memory_order_acquire,
-                                          std::memory_order_relaxed)) {
-      ++stats.lock_acquires;
-      race_on_lock_acquire(&locks_[i]);
-      return true;
-    }
-    ++stats.lock_spins;
-    return false;
   }
 
   void release(std::size_t i) {

@@ -9,14 +9,10 @@
 
 #include "common/error.hpp"
 
+#include "simt/cost.hpp"
 #include "simt/warp.hpp"
 
 namespace wknng::simt {
-
-/// Collective depth of the warp bitonic network over 32 lanes:
-/// log2(32)*(log2(32)+1)/2 = 15 compare-exchange stages, each one
-/// __shfl_xor exchange plus a predicated min/max.
-inline constexpr std::uint64_t kBitonicSortCollectives = 15;
 
 /// In-register bitonic sort of one value per lane, ascending across lanes
 /// (lane 0 ends with the minimum). The modelled cost is the classic warp
@@ -28,7 +24,7 @@ inline constexpr std::uint64_t kBitonicSortCollectives = 15;
 /// lets through.
 template <typename T>
 inline void bitonic_sort_lanes(Warp& w, Lanes<T>& v) {
-  w.stats().warp_collectives += kBitonicSortCollectives;
+  cost::bitonic_sort(w.stats());
   std::sort(v.begin(), v.end());
 }
 
@@ -43,13 +39,12 @@ inline void bitonic_sort_lanes(Warp& w, Lanes<T>& v) {
 /// without its lock (KnnSetArray::peek_worst_sorted) while a merge holding
 /// the lock rewrites it.
 ///
-/// Modelled cost: the merge-path steps a warp would execute —
-/// ceil((k + 32) / 32) collective rounds — are charged to the stats.
+/// Modelled cost: cost::merge_path.
 template <typename T>
 inline void merge_sorted_run(Warp& w, std::span<T> list,
                              std::span<const T> run, std::span<T> tmp, T pad) {
   const std::size_t k = list.size();
-  w.stats().warp_collectives += (k + kWarpSize * 2 - 1) / kWarpSize;
+  cost::merge_path(w.stats(), k);
 
   std::size_t li = 0;  // cursor in list
   std::size_t ri = 0;  // cursor in run
@@ -82,9 +77,7 @@ inline void merge_sorted_run(Warp& w, std::span<T> list,
 /// distinct-or-interchangeable keys).
 template <typename T>
 inline void sort_scratch(Warp& w, std::span<T> data) {
-  std::size_t depth = 1;
-  for (std::size_t n = 1; n < data.size(); n <<= 1) ++depth;
-  w.stats().warp_collectives += depth * depth * ((data.size() + kWarpSize - 1) / kWarpSize);
+  cost::scratch_sort(w.stats(), data.size());
   std::sort(data.begin(), data.end());
 }
 
@@ -92,11 +85,7 @@ inline void sort_scratch(Warp& w, std::span<T> data) {
 /// 8-bit digits, with only as many passes as `max_key` (the largest key in
 /// `data`) needs. `tmp` must hold data.size() keys; it is the ping-pong
 /// buffer of the passes. No key is compared with another, so the cost is
-/// linear in the key count.
-///
-/// Modelled cost per pass: a 256-bin scratch histogram (one match collective
-/// per 32-key tile), a 5-step warp scan over the bins (each lane owns 8), and
-/// a ranked scatter (a second collective per tile).
+/// linear in the key count. Modelled cost: cost::radix_sort.
 template <typename T>
 inline void radix_sort_scratch(Warp& w, std::span<T> data, std::span<T> tmp,
                                T max_key) {
@@ -108,8 +97,7 @@ inline void radix_sort_scratch(Warp& w, std::span<T> data, std::span<T> tmp,
   for (T rest = max_key; rest != 0; rest = static_cast<T>(rest >> 8)) {
     ++passes;
   }
-  const std::size_t tiles = (n + kWarpSize - 1) / kWarpSize;
-  w.stats().warp_collectives += passes * (2 * tiles + 5);
+  cost::radix_sort(w.stats(), passes, n);
 
   T* src = data.data();
   T* dst = tmp.data();

@@ -25,7 +25,8 @@ struct Stats {
   std::uint64_t cas_retries = 0;      ///< failed CAS attempts (contention measure)
   std::uint64_t lock_acquires = 0;    ///< spin-lock acquisitions
   std::uint64_t lock_spins = 0;       ///< failed lock attempts while spinning
-  std::uint64_t warp_collectives = 0; ///< shuffles/ballots/reductions/scans executed
+  std::uint64_t warp_collectives = 0; ///< modelled shuffles/ballots/reductions/scans
+                                      ///< (charged only through simt/cost.hpp)
   std::uint64_t scratch_bytes_peak = 0; ///< max per-warp scratch footprint observed
   std::uint64_t warps_executed = 0;   ///< number of warp tasks accumulated here
   std::uint64_t shadow_events = 0;    ///< race-detector accesses recorded (0 unless

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <utility>
 
 #include "simt/race.hpp"
 #include "simt/scratch.hpp"
@@ -11,44 +11,24 @@
 namespace wknng::simt {
 
 /// Number of lanes per warp, matching NVIDIA hardware. The value is a
-/// compile-time constant throughout: every collective below is a fixed-size
-/// loop the compiler can unroll/vectorise.
+/// compile-time constant throughout.
 inline constexpr int kWarpSize = 32;
 
 /// Per-lane register file slice: element l is lane l's private value.
-/// SIMT kernels in this repo are written in "lane-array style": instead of
-/// 32 hardware threads in lockstep, one CPU task owns the whole warp and
-/// manipulates Lanes<T> values, with warp collectives as explicit functions.
-/// This preserves warp-synchronous semantics exactly (there is no intra-warp
-/// nondeterminism) and makes the kernels unit-testable.
+/// Kernels in this repo are written in "lane-array style": instead of 32
+/// hardware threads in lockstep, one CPU task owns the whole warp and
+/// manipulates Lanes<T> values. There is no intra-warp nondeterminism, so
+/// warp-synchronous semantics hold exactly and the kernels are
+/// unit-testable.
 template <typename T>
 using Lanes = std::array<T, kWarpSize>;
 
-/// Applies f(lane) for every lane in order — the SIMT body of a warp-uniform
-/// region. Divergence is expressed with per-lane predicates, exactly like
-/// predicated execution on hardware.
-template <typename F>
-inline void for_each_lane(F&& f) {
-  for (int l = 0; l < kWarpSize; ++l) f(l);
-}
-
-/// Builds a Lanes<T> with value f(lane).
-template <typename T, typename F>
-inline Lanes<T> make_lanes(F&& f) {
-  Lanes<T> v{};
-  for (int l = 0; l < kWarpSize; ++l) v[l] = f(l);
-  return v;
-}
-
-/// Lane-id vector {0, 1, ..., 31}.
-inline Lanes<int> lane_ids() {
-  return make_lanes<int>([](int l) { return l; });
-}
-
 /// Execution context for one warp: identity, scratch ("shared memory"
-/// partition), and work counters. Collectives are members so that every one
-/// of them is accounted in Stats::warp_collectives — the warp-instruction
-/// budget the paper's strategies trade against global-memory traffic.
+/// partition), and work counters. The warp collectives a CUDA kernel would
+/// issue are not executed: the host computes their results natively and
+/// charges the modelled cost through simt/cost.hpp into
+/// Stats::warp_collectives — the warp-instruction budget the paper's
+/// strategies trade against global-memory traffic.
 class Warp {
  public:
   Warp(std::uint32_t id, WarpScratch& scratch, Stats& stats)
@@ -75,135 +55,6 @@ class Warp {
   void record_write(T* base, std::size_t count) {
     count_write(count * sizeof(T));
     race_on_range(base, sizeof(T), count, AccessKind::kPlainWrite);
-  }
-
-  // --- Collectives -------------------------------------------------------
-  // Each models one warp-wide instruction (shfl/ballot/reduction step chain)
-  // and bumps warp_collectives once.
-
-  /// Broadcast: every lane receives lane `src`'s value (CUDA __shfl_sync).
-  template <typename T>
-  T shfl(const Lanes<T>& v, int src) {
-    ++stats_->warp_collectives;
-    return v[src & (kWarpSize - 1)];
-  }
-
-  /// Butterfly exchange (CUDA __shfl_xor_sync): lane l gets lane (l^mask).
-  template <typename T>
-  Lanes<T> shfl_xor(const Lanes<T>& v, int mask) {
-    ++stats_->warp_collectives;
-    Lanes<T> out{};
-    for (int l = 0; l < kWarpSize; ++l) out[l] = v[l ^ mask];
-    return out;
-  }
-
-  /// Shift down (CUDA __shfl_down_sync): lane l gets lane l+delta's value;
-  /// lanes with l+delta >= 32 keep their own.
-  template <typename T>
-  Lanes<T> shfl_down(const Lanes<T>& v, int delta) {
-    ++stats_->warp_collectives;
-    Lanes<T> out{};
-    for (int l = 0; l < kWarpSize; ++l) {
-      out[l] = (l + delta < kWarpSize) ? v[l + delta] : v[l];
-    }
-    return out;
-  }
-
-  /// Predicate mask (CUDA __ballot_sync): bit l set iff pred[l].
-  std::uint32_t ballot(const Lanes<bool>& pred) {
-    ++stats_->warp_collectives;
-    std::uint32_t mask = 0;
-    for (int l = 0; l < kWarpSize; ++l) {
-      mask |= pred[l] ? (1u << l) : 0u;
-    }
-    return mask;
-  }
-
-  bool any(const Lanes<bool>& pred) { return ballot(pred) != 0; }
-  bool all(const Lanes<bool>& pred) { return ballot(pred) == 0xFFFFFFFFu; }
-
-  /// Warp-wide reduction with a binary op; models the log2(32)-step shuffle
-  /// tree (counted as the 5 collective steps it costs on hardware).
-  template <typename T, typename Op>
-  T reduce(const Lanes<T>& v, Op op) {
-    stats_->warp_collectives += 5;
-    T acc = v[0];
-    for (int l = 1; l < kWarpSize; ++l) acc = op(acc, v[l]);
-    return acc;
-  }
-
-  template <typename T>
-  T reduce_sum(const Lanes<T>& v) {
-    return reduce(v, [](T a, T b) { return a + b; });
-  }
-
-  template <typename T>
-  T reduce_min(const Lanes<T>& v) {
-    return reduce(v, [](T a, T b) { return b < a ? b : a; });
-  }
-
-  template <typename T>
-  T reduce_max(const Lanes<T>& v) {
-    return reduce(v, [](T a, T b) { return a < b ? b : a; });
-  }
-
-  /// Lane index holding the minimum value (ties -> lowest lane).
-  template <typename T>
-  int argmin_lane(const Lanes<T>& v) {
-    stats_->warp_collectives += 5;
-    int best = 0;
-    for (int l = 1; l < kWarpSize; ++l) {
-      if (v[l] < v[best]) best = l;
-    }
-    return best;
-  }
-
-  /// Lane index holding the maximum value (ties -> lowest lane).
-  template <typename T>
-  int argmax_lane(const Lanes<T>& v) {
-    stats_->warp_collectives += 5;
-    int best = 0;
-    for (int l = 1; l < kWarpSize; ++l) {
-      if (v[best] < v[l]) best = l;
-    }
-    return best;
-  }
-
-  /// Inclusive prefix sum across lanes (Hillis–Steele, 5 shuffle steps).
-  template <typename T>
-  Lanes<T> inclusive_scan_sum(const Lanes<T>& v) {
-    stats_->warp_collectives += 5;
-    Lanes<T> out = v;
-    for (int l = 1; l < kWarpSize; ++l) out[l] = out[l - 1] + v[l];
-    return out;
-  }
-
-  /// Exclusive prefix sum across lanes (lane 0 gets T{}).
-  template <typename T>
-  Lanes<T> exclusive_scan_sum(const Lanes<T>& v) {
-    stats_->warp_collectives += 5;
-    Lanes<T> out{};
-    T acc{};
-    for (int l = 0; l < kWarpSize; ++l) {
-      out[l] = acc;
-      acc = acc + v[l];
-    }
-    return out;
-  }
-
-  /// Stream compaction: values of predicate-true lanes are packed into the
-  /// low lanes of `out` in lane order; returns the packed count. On hardware
-  /// this is one ballot plus a popc-prefix per lane — charged as 2
-  /// collectives. Remaining out-lanes are value-initialised.
-  template <typename T>
-  int compact(const Lanes<T>& v, const Lanes<bool>& pred, Lanes<T>& out) {
-    stats_->warp_collectives += 2;
-    out = Lanes<T>{};
-    int count = 0;
-    for (int l = 0; l < kWarpSize; ++l) {
-      if (pred[l]) out[count++] = v[l];
-    }
-    return count;
   }
 
  private:

@@ -9,6 +9,7 @@
 #include "common/matrix.hpp"
 #include "kernels/kernels.hpp"
 #include "kernels/sq8.hpp"
+#include "simt/cost.hpp"
 #include "simt/fault.hpp"
 #include "simt/warp.hpp"
 
@@ -114,7 +115,7 @@ class RowScorer {
     s.flops += dist_flops() + kWarpSize;
     // The modeled warp combines its lane partials with one 5-step shuffle
     // reduction; charge it even though the SIMD kernel folded it into hsum.
-    s.warp_collectives += 5;
+    cost::shuffle_reduce(s);
     w.count_read(row_read_bytes() + unstaged_query_bytes());
     return fault_corrupt_distance(dist);
   }

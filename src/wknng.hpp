@@ -30,7 +30,6 @@
 #include "common/topk.hpp"
 #include "core/builder.hpp"
 #include "core/graph_metrics.hpp"
-#include "core/graph_ops.hpp"
 #include "core/graph_search.hpp"
 #include "core/params.hpp"
 #include "core/warp_brute_force.hpp"

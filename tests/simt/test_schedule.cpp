@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 #include <vector>
 
@@ -83,7 +84,9 @@ TEST(ScheduleInvarianceTest, ReductionKernelIdenticalAcrossSchedules) {
     config.schedule = spec;
     launch_warps(pool, num_warps, config, &acc, [&](Warp& w) {
       const std::uint64_t v = (w.id() + 1) * 3ull;
-      atomic_add(total[0], v, w.stats());
+      std::atomic_ref<std::uint64_t>(total[0]).fetch_add(
+          v, std::memory_order_relaxed);
+      ++w.stats().atomic_ops;
       plain_store(slots[w.id()], v);
     });
     Stats s = acc.total();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <vector>
 
@@ -21,9 +22,10 @@ class SortTest : public ::testing::Test {
 };
 
 TEST_F(SortTest, BitonicSortsReversedInput) {
-  auto v = make_lanes<std::uint64_t>([](int l) {
-    return static_cast<std::uint64_t>(kWarpSize - l);
-  });
+  Lanes<std::uint64_t> v;
+  for (int l = 0; l < kWarpSize; ++l) {
+    v[l] = static_cast<std::uint64_t>(kWarpSize - l);
+  }
   bitonic_sort_lanes(warp_, v);
   for (int l = 0; l < kWarpSize; ++l) {
     EXPECT_EQ(v[l], static_cast<std::uint64_t>(l + 1));
@@ -33,7 +35,8 @@ TEST_F(SortTest, BitonicSortsReversedInput) {
 TEST_F(SortTest, BitonicSortsRandomInputs) {
   Rng rng(5);
   for (int trial = 0; trial < 50; ++trial) {
-    auto v = make_lanes<std::uint64_t>([&](int) { return rng.next_u64(); });
+    Lanes<std::uint64_t> v;
+    for (auto& x : v) x = rng.next_u64();
     auto expect = v;
     bitonic_sort_lanes(warp_, v);
     std::sort(expect.begin(), expect.end());
@@ -44,7 +47,8 @@ TEST_F(SortTest, BitonicSortsRandomInputs) {
 TEST_F(SortTest, BitonicSortsWithDuplicates) {
   Rng rng(6);
   for (int trial = 0; trial < 20; ++trial) {
-    auto v = make_lanes<std::uint64_t>([&](int) { return rng.next_below(4); });
+    Lanes<std::uint64_t> v;
+    for (auto& x : v) x = rng.next_below(4);
     auto expect = v;
     bitonic_sort_lanes(warp_, v);
     std::sort(expect.begin(), expect.end());
@@ -53,9 +57,9 @@ TEST_F(SortTest, BitonicSortsWithDuplicates) {
 }
 
 TEST_F(SortTest, BitonicHandlesEmptyPadding) {
-  auto v = make_lanes<std::uint64_t>([](int l) {
-    return l < 5 ? static_cast<std::uint64_t>(100 - l) : Packed::kEmpty;
-  });
+  Lanes<std::uint64_t> v;
+  v.fill(Packed::kEmpty);
+  for (int l = 0; l < 5; ++l) v[l] = static_cast<std::uint64_t>(100 - l);
   bitonic_sort_lanes(warp_, v);
   for (int l = 0; l < 5; ++l) EXPECT_LT(v[l], Packed::kEmpty);
   for (int l = 5; l < kWarpSize; ++l) EXPECT_EQ(v[l], Packed::kEmpty);
@@ -63,7 +67,8 @@ TEST_F(SortTest, BitonicHandlesEmptyPadding) {
 }
 
 TEST_F(SortTest, BitonicCountsCollectives) {
-  auto v = make_lanes<std::uint64_t>([](int l) { return l; });
+  Lanes<std::uint64_t> v;
+  for (int l = 0; l < kWarpSize; ++l) v[l] = static_cast<std::uint64_t>(l);
   const auto before = stats_.warp_collectives;
   bitonic_sort_lanes(warp_, v);
   // 15 compare-exchange stages, each one shuffle.
@@ -73,10 +78,11 @@ TEST_F(SortTest, BitonicCountsCollectives) {
 TEST_F(SortTest, MergeKeepsKSmallest) {
   std::vector<std::uint64_t> list = {2, 4, 6, 8};
   std::vector<std::uint64_t> tmp(4);
-  auto run = make_lanes<std::uint64_t>([](int l) {
-    return l < 3 ? static_cast<std::uint64_t>(2 * l + 1)  // 1, 3, 5
-                 : Packed::kEmpty;
-  });
+  Lanes<std::uint64_t> run;
+  run.fill(Packed::kEmpty);
+  run[0] = 1;
+  run[1] = 3;
+  run[2] = 5;
   merge_sorted_run<std::uint64_t>(warp_, list, run, tmp, Packed::kEmpty);
   EXPECT_EQ(list, (std::vector<std::uint64_t>{1, 2, 3, 4}));
 }
@@ -84,10 +90,10 @@ TEST_F(SortTest, MergeKeepsKSmallest) {
 TEST_F(SortTest, MergeDedupesEqualValues) {
   std::vector<std::uint64_t> list = {2, 4, 6, 8};
   std::vector<std::uint64_t> tmp(4);
-  auto run = make_lanes<std::uint64_t>([](int l) {
-    return l < 2 ? static_cast<std::uint64_t>(2 + 2 * l)  // 2, 4 (duplicates)
-                 : Packed::kEmpty;
-  });
+  Lanes<std::uint64_t> run;
+  run.fill(Packed::kEmpty);
+  run[0] = 2;  // duplicates of list entries
+  run[1] = 4;
   merge_sorted_run<std::uint64_t>(warp_, list, run, tmp, Packed::kEmpty);
   EXPECT_EQ(list, (std::vector<std::uint64_t>{2, 4, 6, 8}));
 }
@@ -95,9 +101,10 @@ TEST_F(SortTest, MergeDedupesEqualValues) {
 TEST_F(SortTest, MergeIntoEmptyList) {
   std::vector<std::uint64_t> list(4, Packed::kEmpty);
   std::vector<std::uint64_t> tmp(4);
-  auto run = make_lanes<std::uint64_t>([](int l) {
-    return l < 2 ? static_cast<std::uint64_t>(l + 1) : Packed::kEmpty;
-  });
+  Lanes<std::uint64_t> run;
+  run.fill(Packed::kEmpty);
+  run[0] = 1;
+  run[1] = 2;
   merge_sorted_run<std::uint64_t>(warp_, list, run, tmp, Packed::kEmpty);
   EXPECT_EQ(list[0], 1u);
   EXPECT_EQ(list[1], 2u);
@@ -106,7 +113,8 @@ TEST_F(SortTest, MergeIntoEmptyList) {
 }
 
 TEST_F(SortTest, BitonicAllEmptyIsStable) {
-  auto v = make_lanes<std::uint64_t>([](int) { return Packed::kEmpty; });
+  Lanes<std::uint64_t> v;
+  v.fill(Packed::kEmpty);
   bitonic_sort_lanes(warp_, v);
   for (int l = 0; l < kWarpSize; ++l) EXPECT_EQ(v[l], Packed::kEmpty);
 }
@@ -114,9 +122,9 @@ TEST_F(SortTest, BitonicAllEmptyIsStable) {
 TEST_F(SortTest, MergeRunEntirelyWorseLeavesListUnchanged) {
   std::vector<std::uint64_t> list = {1, 2, 3, 4};
   std::vector<std::uint64_t> tmp(4);
-  auto run = make_lanes<std::uint64_t>([](int l) {
-    return l < 4 ? static_cast<std::uint64_t>(100 + l) : Packed::kEmpty;
-  });
+  Lanes<std::uint64_t> run;
+  run.fill(Packed::kEmpty);
+  for (int l = 0; l < 4; ++l) run[l] = static_cast<std::uint64_t>(100 + l);
   merge_sorted_run<std::uint64_t>(warp_, list, run, tmp, Packed::kEmpty);
   EXPECT_EQ(list, (std::vector<std::uint64_t>{1, 2, 3, 4}));
 }
@@ -124,7 +132,8 @@ TEST_F(SortTest, MergeRunEntirelyWorseLeavesListUnchanged) {
 TEST_F(SortTest, MergeEmptyRunIsANoop) {
   std::vector<std::uint64_t> list = {3, 7, Packed::kEmpty, Packed::kEmpty};
   std::vector<std::uint64_t> tmp(4);
-  auto run = make_lanes<std::uint64_t>([](int) { return Packed::kEmpty; });
+  Lanes<std::uint64_t> run;
+  run.fill(Packed::kEmpty);
   merge_sorted_run<std::uint64_t>(warp_, list, run, tmp, Packed::kEmpty);
   EXPECT_EQ(list,
             (std::vector<std::uint64_t>{3, 7, Packed::kEmpty, Packed::kEmpty}));
@@ -143,10 +152,9 @@ TEST_F(SortTest, MergeMatchesReferenceOnRandomInputs) {
     list.resize(k, Packed::kEmpty);
 
     const std::size_t run_n = rng.next_below(kWarpSize + 1);
-    auto run = make_lanes<std::uint64_t>([&](int l) {
-      return static_cast<std::size_t>(l) < run_n ? rng.next_below(1000)
-                                                 : Packed::kEmpty;
-    });
+    Lanes<std::uint64_t> run;
+    run.fill(Packed::kEmpty);
+    for (std::size_t l = 0; l < run_n; ++l) run[l] = rng.next_below(1000);
     std::sort(run.begin(), run.end());
 
     // Reference: k smallest distinct values of the union.
@@ -162,6 +170,23 @@ TEST_F(SortTest, MergeMatchesReferenceOnRandomInputs) {
     std::vector<std::uint64_t> tmp(k);
     merge_sorted_run<std::uint64_t>(warp_, list, run, tmp, Packed::kEmpty);
     EXPECT_EQ(list, expect) << "trial " << trial << " k=" << k;
+  }
+}
+
+// The merge path of a 32-run into a k-list is charged ⌈(k+32)/32⌉ rounds,
+// whatever the run holds.
+TEST_F(SortTest, MergeChargesMergePathRounds) {
+  const std::size_t ks[] = {1, 16, 32, 33, 64};
+  const std::uint64_t rounds[] = {2, 2, 2, 3, 3};
+  for (std::size_t i = 0; i < std::size(ks); ++i) {
+    std::vector<std::uint64_t> list(ks[i], Packed::kEmpty);
+    std::vector<std::uint64_t> tmp(ks[i]);
+    Lanes<std::uint64_t> run;
+    run.fill(Packed::kEmpty);
+    run[0] = 1;
+    const auto before = stats_.warp_collectives;
+    merge_sorted_run<std::uint64_t>(warp_, list, run, tmp, Packed::kEmpty);
+    EXPECT_EQ(stats_.warp_collectives - before, rounds[i]) << "k=" << ks[i];
   }
 }
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hpp"
+#include "simt/cost.hpp"
 #include "simt/scratch.hpp"
 
 namespace wknng::simt {
@@ -15,111 +15,11 @@ class WarpTest : public ::testing::Test {
   Warp warp_{0, scratch_, stats_};
 };
 
-TEST_F(WarpTest, LaneIdsAreIota) {
-  const auto ids = lane_ids();
-  for (int l = 0; l < kWarpSize; ++l) EXPECT_EQ(ids[l], l);
-}
-
-TEST_F(WarpTest, ShflBroadcastsSourceLane) {
-  const auto v = make_lanes<int>([](int l) { return l * 10; });
-  EXPECT_EQ(warp_.shfl(v, 5), 50);
-  EXPECT_EQ(warp_.shfl(v, 0), 0);
-  EXPECT_EQ(warp_.shfl(v, 31), 310);
-}
-
-TEST_F(WarpTest, ShflWrapsSourceLaneLikeHardware) {
-  const auto v = make_lanes<int>([](int l) { return l; });
-  EXPECT_EQ(warp_.shfl(v, 32), 0);  // src & 31
-  EXPECT_EQ(warp_.shfl(v, 33), 1);
-}
-
-TEST_F(WarpTest, ShflXorExchangesPairs) {
-  const auto v = make_lanes<int>([](int l) { return l; });
-  const auto x = warp_.shfl_xor(v, 1);
-  for (int l = 0; l < kWarpSize; ++l) EXPECT_EQ(x[l], l ^ 1);
-  const auto y = warp_.shfl_xor(v, 16);
-  for (int l = 0; l < kWarpSize; ++l) EXPECT_EQ(y[l], l ^ 16);
-}
-
-TEST_F(WarpTest, ShflDownShiftsAndClampsTail) {
-  const auto v = make_lanes<int>([](int l) { return l; });
-  const auto d = warp_.shfl_down(v, 4);
-  for (int l = 0; l < kWarpSize; ++l) {
-    EXPECT_EQ(d[l], l + 4 < kWarpSize ? l + 4 : l);
-  }
-}
-
-TEST_F(WarpTest, BallotBuildsMask) {
-  const auto pred = make_lanes<bool>([](int l) { return l % 3 == 0; });
-  std::uint32_t expect = 0;
-  for (int l = 0; l < kWarpSize; ++l) {
-    if (l % 3 == 0) expect |= 1u << l;
-  }
-  EXPECT_EQ(warp_.ballot(pred), expect);
-}
-
-TEST_F(WarpTest, AnyAndAll) {
-  auto none = make_lanes<bool>([](int) { return false; });
-  auto all = make_lanes<bool>([](int) { return true; });
-  auto one = make_lanes<bool>([](int l) { return l == 17; });
-  EXPECT_FALSE(warp_.any(none));
-  EXPECT_TRUE(warp_.any(one));
-  EXPECT_TRUE(warp_.any(all));
-  EXPECT_FALSE(warp_.all(none));
-  EXPECT_FALSE(warp_.all(one));
-  EXPECT_TRUE(warp_.all(all));
-}
-
-TEST_F(WarpTest, ReduceSumMinMax) {
-  const auto v = make_lanes<int>([](int l) { return l + 1; });  // 1..32
-  EXPECT_EQ(warp_.reduce_sum(v), 32 * 33 / 2);
-  EXPECT_EQ(warp_.reduce_min(v), 1);
-  EXPECT_EQ(warp_.reduce_max(v), 32);
-}
-
-TEST_F(WarpTest, ReduceSumFloat) {
-  const auto v = make_lanes<float>([](int l) { return 0.5f * l; });
-  EXPECT_FLOAT_EQ(warp_.reduce_sum(v), 0.5f * (31 * 32 / 2));
-}
-
-TEST_F(WarpTest, ArgminArgmaxLanes) {
-  auto v = make_lanes<int>([](int l) { return 100 - l; });
-  EXPECT_EQ(warp_.argmin_lane(v), 31);
-  EXPECT_EQ(warp_.argmax_lane(v), 0);
-  v[13] = -5;
-  EXPECT_EQ(warp_.argmin_lane(v), 13);
-}
-
-TEST_F(WarpTest, ArgminTieBreaksToLowestLane) {
-  auto v = make_lanes<int>([](int) { return 7; });
-  EXPECT_EQ(warp_.argmin_lane(v), 0);
-  EXPECT_EQ(warp_.argmax_lane(v), 0);
-}
-
-TEST_F(WarpTest, InclusiveScanSum) {
-  const auto v = make_lanes<int>([](int) { return 1; });
-  const auto s = warp_.inclusive_scan_sum(v);
-  for (int l = 0; l < kWarpSize; ++l) EXPECT_EQ(s[l], l + 1);
-}
-
-TEST_F(WarpTest, InclusiveScanSumRandomMatchesPrefix) {
-  Rng rng(3);
-  auto v = make_lanes<int>([&](int) { return static_cast<int>(rng.next_below(100)); });
-  const auto s = warp_.inclusive_scan_sum(v);
-  int acc = 0;
-  for (int l = 0; l < kWarpSize; ++l) {
-    acc += v[l];
-    EXPECT_EQ(s[l], acc);
-  }
-}
-
 TEST_F(WarpTest, CollectivesAreCounted) {
-  const auto v = make_lanes<int>([](int l) { return l; });
   const std::uint64_t before = stats_.warp_collectives;
-  (void)warp_.shfl(v, 0);
-  (void)warp_.ballot(make_lanes<bool>([](int) { return true; }));
-  (void)warp_.reduce_sum(v);
-  EXPECT_GT(stats_.warp_collectives, before);
+  cost::ballot_rounds(warp_.stats(), 33);  // two 32-lane rounds
+  cost::shuffle_reduce(warp_.stats());
+  EXPECT_EQ(stats_.warp_collectives - before, 2u + 5u);
 }
 
 TEST_F(WarpTest, CountReadWriteAccumulate) {
@@ -128,64 +28,6 @@ TEST_F(WarpTest, CountReadWriteAccumulate) {
   warp_.count_read(2);
   EXPECT_EQ(stats_.global_reads, 130u);
   EXPECT_EQ(stats_.global_writes, 64u);
-}
-
-
-TEST_F(WarpTest, ExclusiveScanSum) {
-  const auto v = make_lanes<int>([](int l) { return l + 1; });
-  const auto s = warp_.exclusive_scan_sum(v);
-  int acc = 0;
-  for (int l = 0; l < kWarpSize; ++l) {
-    EXPECT_EQ(s[l], acc);
-    acc += v[l];
-  }
-}
-
-TEST_F(WarpTest, ExclusiveScanLane0IsZero) {
-  const auto v = make_lanes<int>([](int) { return 7; });
-  EXPECT_EQ(warp_.exclusive_scan_sum(v)[0], 0);
-}
-
-TEST_F(WarpTest, CompactPacksPredicateTrueLanes) {
-  const auto v = make_lanes<int>([](int l) { return l * 10; });
-  const auto pred = make_lanes<bool>([](int l) { return l % 4 == 0; });
-  Lanes<int> out{};
-  const int count = warp_.compact(v, pred, out);
-  EXPECT_EQ(count, 8);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(out[i], i * 4 * 10);
-  for (int i = 8; i < kWarpSize; ++i) EXPECT_EQ(out[i], 0);
-}
-
-TEST_F(WarpTest, CompactAllFalseIsEmpty) {
-  const auto v = make_lanes<int>([](int l) { return l; });
-  Lanes<int> out{};
-  EXPECT_EQ(warp_.compact(v, make_lanes<bool>([](int) { return false; }), out), 0);
-}
-
-TEST_F(WarpTest, CompactAllTrueIsIdentity) {
-  const auto v = make_lanes<int>([](int l) { return l + 1; });
-  Lanes<int> out{};
-  EXPECT_EQ(warp_.compact(v, make_lanes<bool>([](int) { return true; }), out),
-            kWarpSize);
-  EXPECT_EQ(out, v);
-}
-
-TEST_F(WarpTest, CompactPreservesLaneOrder) {
-  Rng rng(41);
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto v = make_lanes<std::uint32_t>([&](int) { return rng.next_u32(); });
-    const auto pred = make_lanes<bool>([&](int) { return rng.next_below(2) == 1; });
-    Lanes<std::uint32_t> out{};
-    const int count = warp_.compact(v, pred, out);
-    int expect = 0;
-    for (int l = 0; l < kWarpSize; ++l) {
-      if (pred[l]) {
-        ASSERT_EQ(out[expect], v[l]);
-        ++expect;
-      }
-    }
-    EXPECT_EQ(count, expect);
-  }
 }
 
 }  // namespace
