@@ -32,21 +32,13 @@ struct Buckets {
     return m;
   }
 
-  /// Appends all buckets of `other` (used to concatenate trees into a forest).
+  /// Appends all buckets of `other` (concatenates spill trees into a forest).
   void append(const Buckets& other);
 };
 
-/// Builds one random-projection tree over `points` and returns its leaves.
-///
-/// Construction is level-synchronous, mirroring the GPU formulation: at each
-/// level every oversized node draws a random Gaussian direction, a single
-/// SIMT launch computes the projections of all points of all active nodes
-/// (one warp per 32-point chunk, candidate-parallel dot products), and the
-/// host splits each node at its median projection (exact balanced split via
-/// nth_element). Nodes at or below `leaf_size` become buckets.
-///
-/// Determinism: directions depend only on (seed, tree_index, level, node),
-/// so the same inputs always give the same tree.
+/// Builds tree `tree_index` of the forest over `points` and returns its
+/// leaves: the one-tree case of build_rp_forest's level loop, so it equals
+/// that tree's slice of the forest.
 Buckets build_rp_tree(ThreadPool& pool, const FloatMatrix& points,
                       std::size_t leaf_size, std::uint64_t seed,
                       std::size_t tree_index,
@@ -64,8 +56,25 @@ Buckets build_rp_tree_spill(ThreadPool& pool, const FloatMatrix& points,
                             std::uint64_t seed, std::size_t tree_index,
                             simt::StatsAccumulator* acc = nullptr);
 
-/// Builds `num_trees` independent trees and concatenates their leaves.
-/// `spill > 0` selects the spill-tree variant.
+/// Builds `num_trees` independent trees and concatenates their leaves, tree
+/// by tree; within a tree, leaves are in level-major order.
+///
+/// Construction is level-synchronous over the whole forest, mirroring the
+/// GPU formulation. At each level every oversized node of every tree draws
+/// a random Gaussian direction, and one SIMT launch projects the level: a
+/// warp streams 32 consecutive rows in id order, reads each row once and
+/// projects it onto its node's direction in every tree that still holds the
+/// row in an active node (the trees' dot-product chains interleaved). Then
+/// the pool splits every (tree, node) at its median projection (exact
+/// balanced split via nth_element, one task per node) and maps each row to
+/// its child node. Nodes at or below `leaf_size` become buckets. Because
+/// the splits are exact medians, every tree has the same shape, so each
+/// leaf's slot in the output is known before the first launch.
+///
+/// Determinism: directions depend only on (seed, tree_index, level, node),
+/// and each projection is the same ascending-j float sum however chains are
+/// interleaved, so the same inputs give the same forest at any thread count.
+/// `spill > 0` selects the spill-tree variant, built one tree at a time.
 Buckets build_rp_forest(ThreadPool& pool, const FloatMatrix& points,
                         std::size_t num_trees, std::size_t leaf_size,
                         std::uint64_t seed,

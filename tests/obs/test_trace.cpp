@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -20,6 +21,7 @@
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "core/builder.hpp"
+#include "core/rp_forest.hpp"
 #include "data/synthetic.hpp"
 #include "serve/engine.hpp"
 #include "support/temp_dir.hpp"
@@ -51,6 +53,13 @@ bool graphs_equal(const KnnGraph& a, const KnnGraph& b) {
     }
   }
   return true;
+}
+
+/// Levels of an RP tree over n > leaf points: exact median splits halve the
+/// largest node each level, so depth = ceil(log2(n / leaf)).
+std::size_t forest_depth(std::size_t n, std::size_t leaf) {
+  return static_cast<std::size_t>(
+      std::ceil(std::log2(static_cast<double>(n) / static_cast<double>(leaf))));
 }
 
 std::vector<TraceEvent> events_named(const Tracer& tr, const std::string& n) {
@@ -163,7 +172,23 @@ TEST(BuildTrace, PhaseSpansCoverTheBuild) {
   EXPECT_GE(events_named(tr, "refine_local_join").size() +
                 events_named(tr, "refine_expand").size(),
             1u);
-  EXPECT_GE(events_named(tr, "rp_forest_level").size(), 1u);
+  // One forest launch per level covers every tree.
+  EXPECT_EQ(events_named(tr, "rp_forest_level").size(),
+            forest_depth(500, small_params().leaf_size));
+}
+
+TEST(BuildTrace, ForestLaunchesOncePerLevelForAnyTreeCount) {
+  ThreadPool pool(2);
+  const FloatMatrix pts = data::make_uniform(1000, 8, 5);
+  for (const std::size_t trees : {1u, 3u, 8u, 9u}) {
+    Tracer tr;
+    {
+      ScopedTracing scope(tr);
+      (void)core::build_rp_forest(pool, pts, trees, 40, 3);
+    }
+    EXPECT_EQ(events_named(tr, "rp_forest_level").size(), forest_depth(1000, 40))
+        << trees << " trees";
+  }
 }
 
 TEST(BuildTrace, IdenticalBuildsProduceIdenticalSpanStructure) {
