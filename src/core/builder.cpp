@@ -500,25 +500,31 @@ BuildResult KnngBuilder::run(const FloatMatrix& points,
   BuildParams eff_params = params_;
   eff_params.strategy = effective;
   result.health.rounds_completed = start_round;
-  for (std::size_t round = start_round; round < params_.refine_iters; ++round) {
-    if (deadline_exceeded()) {
-      result.health.deadline_hit = true;
-      break;
+  {
+    // One adjacency, refreshed in place: its old flags let a round skip the
+    // pairs the round before it scored. A resumed build starts fresh. It is
+    // released with the last round, before the sets are extracted.
+    Adjacency adj;
+    for (std::size_t round = start_round; round < params_.refine_iters;
+         ++round) {
+      if (deadline_exceeded()) {
+        result.health.deadline_hit = true;
+        break;
+      }
+      // Sub-phase per round: launches inside attribute to this round's phase
+      // index, and the round span nests inside the "refine" phase span.
+      PhaseSpan round_span(tr, "refine_round", acc);
+      refresh_adjacency(*pool_, sets, params_.reverse_cap, adj);
+      std::size_t skipped = 0;
+      with_launch_retry(params_.max_bucket_retries,
+                        result.health.launches_retried, [&] {
+                          skipped = refine_round(*pool_, pts, adj, eff_params,
+                                                 sets, &acc, scorer);
+                        });
+      result.health.refine_points_skipped += skipped;
+      result.health.rounds_completed = round + 1;
+      write_ckpt(static_cast<std::uint32_t>(round + 1));
     }
-    // Sub-phase per round: launches inside attribute to this round's phase
-    // index, and the round span nests inside the "refine" phase span.
-    PhaseSpan round_span(tr, "refine_round", acc);
-    const Adjacency adj =
-        snapshot_adjacency(*pool_, sets, params_.reverse_cap);
-    std::size_t skipped = 0;
-    with_launch_retry(params_.max_bucket_retries,
-                      result.health.launches_retried, [&] {
-                        skipped = refine_round(*pool_, pts, adj, eff_params,
-                                               sets, &acc, scorer);
-                      });
-    result.health.refine_points_skipped += skipped;
-    result.health.rounds_completed = round + 1;
-    write_ckpt(static_cast<std::uint32_t>(round + 1));
   }
   result.refine_seconds = phase.lap_s();
   cur_phase->finish(result.refine_seconds);

@@ -10,15 +10,8 @@
 #include "core/params.hpp"
 #include "kernels/kernels.hpp"
 #include "simt/launch.hpp"
+#include "simt/memory.hpp"
 #include "simt/warp_distance.hpp"
-
-// Software prefetch for the descent's frontier pipeline: a hint, never a
-// semantic — compilers without the builtin just skip it.
-#if defined(__GNUC__) || defined(__clang__)
-#define WKNNG_PREFETCH(addr) __builtin_prefetch((addr), 0, 1)
-#else
-#define WKNNG_PREFETCH(addr) ((void)0)
-#endif
 
 namespace wknng::core {
 
@@ -224,11 +217,7 @@ BatchSearchResult search_batch(ThreadPool& pool, const SearchTarget& t,
       if (!prefetch_rows) return;
       const std::size_t end = std::min(ids.size(), t0 + kWarpSize);
       for (std::size_t i = t0; i < end; ++i) {
-        const std::span<const std::byte> r =
-            approx.row_bytes(scorer_id(approx, ids[i]));
-        for (std::size_t b = 0; b < r.size(); b += 64) {
-          WKNNG_PREFETCH(r.data() + b);
-        }
+        approx.prefetch(scorer_id(approx, ids[i]));
       }
     };
 
@@ -268,7 +257,7 @@ BatchSearchResult search_batch(ThreadPool& pool, const SearchTarget& t,
       }
       // The heap's new head is the likely next expansion: start its
       // adjacency row toward the cache while this hop streams.
-      if (!frontier.empty()) WKNNG_PREFETCH(adjacency_row(frontier.top().id));
+      if (!frontier.empty()) simt::prefetch(adjacency_row(frontier.top().id));
       expand.clear();
       if (t.graph != nullptr) {
         for (const Neighbor& nb : t.graph->row(cur.id)) {

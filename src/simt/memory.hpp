@@ -68,6 +68,16 @@ class DeviceBuffer {
   std::unique_ptr<T[]> data_;
 };
 
+/// Starts loading the cache line at `addr` for a read: a hint, never a
+/// semantic — compilers without the builtin skip it.
+inline void prefetch(const void* addr) {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(addr, 0, 1);
+#else
+  (void)addr;
+#endif
+}
+
 // --- Plain global-memory operations ----------------------------------------
 // Instrumented counterparts of an ordinary load/store. When no RaceDetector
 // is installed (the default) each hook is one relaxed load of a global plus

@@ -30,6 +30,11 @@ class VisitedBitmap {
     return first;
   }
 
+  /// True iff id's bit is set.
+  bool test(std::uint32_t id) const {
+    return ((words_[id >> 6] >> (id & 63)) & 1) != 0;
+  }
+
   void unmark(std::uint32_t id) {
     words_[id >> 6] &= ~(std::uint64_t{1} << (id & 63));
   }

@@ -11,6 +11,7 @@
 #include "kernels/sq8.hpp"
 #include "simt/cost.hpp"
 #include "simt/fault.hpp"
+#include "simt/memory.hpp"
 #include "simt/warp.hpp"
 
 namespace wknng::simt {
@@ -86,10 +87,17 @@ class RowScorer {
     return w.scratch().alloc<float>(staging_floats());
   }
 
-  /// The bytes of row `id` as the scorer streams them (for prefetch hints).
+  /// The bytes of row `id` as the scorer streams them.
   std::span<const std::byte> row_bytes(std::uint32_t id) const {
     return sq8() ? std::as_bytes(codes_->row(id))
                  : std::as_bytes(rows_->row(id));
+  }
+
+  /// Starts the loads of row `id`, one per 64-byte line, so a later score
+  /// of it does not wait on memory. Charges nothing: a hint only.
+  void prefetch(std::uint32_t id) const {
+    const std::span<const std::byte> r = row_bytes(id);
+    for (std::size_t b = 0; b < r.size(); b += 64) simt::prefetch(r.data() + b);
   }
 
   /// Stages query `x` into `staging` (at least staging_floats() floats).

@@ -112,19 +112,19 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         Pinned{Strategy::kBasic, Compression::kNone,
                0xFEF208198220C2DFULL,
-               {72590u, 6114400u, 17544320u, 187072u, 1069791u, 1024u}},
+               {72579u, 6113520u, 17543584u, 187072u, 1069681u, 1024u}},
         // Atomic reads a row's bound word before it scans the row: most
         // candidates cost 8 bytes and no collective, and a CAS that lowers
         // the row's worst also stores the bound.
         Pinned{Strategy::kAtomic, Compression::kNone,
                0xFEF208198220C2DFULL,
-               {72590u, 6114400u, 12397232u, 302144u, 501613u, 1024u}},
+               {72579u, 6113520u, 12397112u, 302144u, 501569u, 1024u}},
         Pinned{Strategy::kTiled, Compression::kNone,
                0xFEF208198220C2DFULL,
-               {72590u, 3791520u, 3427328u, 371200u, 156878u, 8256u}},
+               {72579u, 3790992u, 3428000u, 371200u, 156889u, 8256u}},
         Pinned{Strategy::kShared, Compression::kNone,
                0xFEF208198220C2DFULL,
-               {72590u, 5193376u, 8541632u, 221632u, 831180u, 2496u}},
+               {72579u, 5192848u, 8542304u, 221632u, 831191u, 2496u}},
         Pinned{Strategy::kBasic, Compression::kSq8,
                0xA900F64DC6BE95A5ULL,
                {82208u, 7908096u, 19488240u, 319616u, 1075545u, 4160u}},
@@ -157,7 +157,23 @@ TEST(GraphIdentity, CorruptDistanceBuildMatchesPinnedHash) {
   ASSERT_TRUE(r.graph.check_invariants());
   EXPECT_GT(r.health.faults_injected, 0u);
   EXPECT_EQ(graph_hash(r.graph), 0x263A27519E2FBABBULL);
-  expect_counters(r.stats, {72590u, 3791520u, 3427516u, 371136u, 156901u, 8256u});
+  expect_counters(r.stats, {72579u, 3790992u, 3427548u, 371136u, 156906u, 8256u});
+}
+
+// A sample that never binds and three rounds: every gather is complete, so
+// rounds 2 and 3 skip the pairs the round before them scored. The hash is
+// the one the flag-free refine loop builds, so this pins that the skip
+// changes no graph.
+TEST(GraphIdentity, UncappedRefineMatchesPinnedHash) {
+  const kernels::ScopedBackend scalar(kernels::Backend::kScalar);
+  ThreadPool pool(2);
+  BuildParams p = pinned_params(Strategy::kTiled, Compression::kNone);
+  p.refine_sample = 512;
+  p.refine_iters = 3;
+  const BuildResult r = build_knng(pool, pinned_points(), p);
+  ASSERT_TRUE(r.graph.check_invariants());
+  EXPECT_EQ(graph_hash(r.graph), 0x21D847D5CF4E8252ULL);
+  expect_counters(r.stats, {76013u, 3955824u, 4356252u, 382784u, 178786u, 8256u});
 }
 
 // The dynamic index's row repair: inserts and deletes dirty rows, one repair
@@ -188,7 +204,7 @@ TEST(GraphIdentity, DynamicRepairMatchesPinnedHash) {
   index.erase(doomed);
   index.repair();
   EXPECT_EQ(graph_hash(index.snapshot()->graph), 0x3E8A27976DE267B3ULL);
-  expect_counters(index.stats(), {86349u, 4451952u, 4546688u, 427776u, 157926u, 8256u});
+  expect_counters(index.stats(), {86338u, 4451424u, 4547360u, 427776u, 157937u, 8256u});
   std::filesystem::remove_all(dir);
 }
 

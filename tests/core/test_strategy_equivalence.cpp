@@ -166,8 +166,9 @@ TEST_P(RefineInvarianceTest, RoundIsScheduleInvariant) {
   params.schedule = {SchedulePolicy::kSequential, 0};
 
   auto refined_graph = [&](const ScheduleSpec& spec) {
-    // Rebuild the pre-refine state identically each time, then run exactly
-    // one refine round under the candidate schedule.
+    // Rebuild the pre-refine state identically each time, then run two
+    // refine rounds under the candidate schedule; the second skips the
+    // pairs the first scored.
     const Buckets forest = build_rp_forest(pool, pts, params.num_trees,
                                            params.leaf_size, params.seed,
                                            nullptr, 0.0f);
@@ -177,10 +178,13 @@ TEST_P(RefineInvarianceTest, RoundIsScheduleInvariant) {
                        params.scratch_bytes, {SchedulePolicy::kSequential, 0},
                        /*max_retries=*/0, /*quarantined=*/{}, report,
                        simt::RowScorer(pts));
-    const Adjacency adj = snapshot_adjacency(pool, sets, params.reverse_cap);
     BuildParams round = params;
     round.schedule = spec;
-    refine_round(pool, pts, adj, round, sets, nullptr, simt::RowScorer(pts));
+    Adjacency adj;
+    for (int r = 0; r < 2; ++r) {
+      refresh_adjacency(pool, sets, params.reverse_cap, adj);
+      refine_round(pool, pts, adj, round, sets, nullptr, simt::RowScorer(pts));
+    }
     return sets.extract(pool);
   };
 
