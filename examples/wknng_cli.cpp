@@ -16,8 +16,6 @@
 //   --trees N            RP-forest size (default 8)
 //   --leaf N             leaf size (default 64)
 //   --refine N           refinement rounds (default 1)
-//   --spill F            spill-tree overlap fraction in [0, 0.45) (default 0)
-//   --refine-mode M      expand|local-join (default expand)
 //   --compression C      none|sq8 (default none): sq8 trains a per-dimension
 //                        int8 codebook and routes candidate distances through
 //                        the compressed rows, with an exact fp32 rerank
@@ -185,8 +183,6 @@ struct Options {
   std::size_t trees = 8;
   std::size_t leaf = 64;
   std::size_t refine = 1;
-  float spill = 0.0f;
-  std::string refine_mode = "expand";
   std::string compression = "none";  // none|sq8 compressed storage tier
   std::size_t rerank_depth = 0;      // sq8 exact-rerank depth (0 = auto)
   std::string metric = "l2";
@@ -292,8 +288,6 @@ std::optional<Options> parse(int argc, char** argv) {
     else if (flag == "--trees") opt.trees = std::strtoull(value(), nullptr, 10);
     else if (flag == "--leaf") opt.leaf = std::strtoull(value(), nullptr, 10);
     else if (flag == "--refine") opt.refine = std::strtoull(value(), nullptr, 10);
-    else if (flag == "--spill") opt.spill = std::strtof(value(), nullptr);
-    else if (flag == "--refine-mode") opt.refine_mode = value();
     else if (flag == "--compression") opt.compression = value();
     else if (flag == "--rerank-depth") opt.rerank_depth = std::strtoull(value(), nullptr, 10);
     else if (flag == "--metric") opt.metric = value();
@@ -831,14 +825,6 @@ int main(int argc, char** argv) {
     params.num_trees = opt->trees;
     params.leaf_size = opt->leaf;
     params.refine_iters = opt->refine;
-    params.spill = opt->spill;
-    if (opt->refine_mode == "expand") {
-      params.refine_mode = core::RefineMode::kExpand;
-    } else if (opt->refine_mode == "local-join") {
-      params.refine_mode = core::RefineMode::kLocalJoin;
-    } else {
-      throw Error("unknown refine mode: " + opt->refine_mode);
-    }
     params.compression = core::compression_from_name(opt->compression);
     params.rerank_depth = opt->rerank_depth;
     params.seed = opt->seed;

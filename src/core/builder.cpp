@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -29,14 +28,6 @@
 #include "simt/warp_distance.hpp"
 
 namespace wknng::core {
-
-const char* refine_mode_name(RefineMode m) {
-  switch (m) {
-    case RefineMode::kExpand: return "expand";
-    case RefineMode::kLocalJoin: return "local-join";
-  }
-  return "?";
-}
 
 const char* strategy_name(Strategy s) {
   switch (s) {
@@ -85,10 +76,11 @@ std::uint64_t build_signature(const BuildParams& p, std::size_t n,
   mix(static_cast<std::uint64_t>(p.strategy));
   mix(p.num_trees);
   mix(p.leaf_size);
-  mix(std::bit_cast<std::uint32_t>(p.spill));
+  // Two deleted fields keep their defaults' slots: saved checkpoints stay valid.
+  mix(0u);  // the bits of 0.0f, the deleted leaf-overlap fraction
   mix(p.refine_sample);
   mix(p.reverse_cap);
-  mix(static_cast<std::uint64_t>(p.refine_mode));
+  mix(0);   // the deleted refine-mode enum's default
   mix(p.seed);
   mix(p.scratch_bytes);
   mix(static_cast<std::uint64_t>(p.schedule.policy));
@@ -110,8 +102,6 @@ KnngBuilder::KnngBuilder(ThreadPool& pool, BuildParams params)
   WKNNG_CHECK_MSG(params_.k > 0, "k must be positive");
   WKNNG_CHECK_MSG(params_.num_trees > 0, "need at least one tree");
   WKNNG_CHECK_MSG(params_.leaf_size >= 2, "leaf_size must be >= 2");
-  WKNNG_CHECK_MSG(params_.spill >= 0.0f && params_.spill < 0.45f,
-                  "spill must be in [0, 0.45): " << params_.spill);
   WKNNG_CHECK_MSG(params_.refine_iters == 0 || params_.refine_sample > 0,
                   "refine_sample must be positive when refine_iters > 0");
   WKNNG_CHECK_MSG(params_.deadline_seconds >= 0.0,
@@ -447,7 +437,7 @@ BuildResult KnngBuilder::run(const FloatMatrix& points,
     // Phase 1: random-projection forest.
     const Buckets forest =
         build_rp_forest(*pool_, pts, params_.num_trees, params_.leaf_size,
-                        params_.seed, &acc, params_.spill);
+                        params_.seed, &acc);
     result.num_buckets = forest.num_buckets();
     result.forest_seconds = phase.lap_s();
     cur_phase->finish(result.forest_seconds);

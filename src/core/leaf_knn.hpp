@@ -56,8 +56,7 @@ void leaf_knn_resilient(ThreadPool& pool, const FloatMatrix& points,
 
 /// Brute-forces one id list as a bucket with the given strategy, feeding the
 /// global k-NN sets: every unordered pair is evaluated once and submitted to
-/// both endpoints. This is the leaf pass's inner kernel; the local-join
-/// refinement mode reuses it on per-point candidate neighborhoods.
+/// both endpoints. This is the leaf pass's inner kernel.
 /// Distances come from `scorer` (see leaf_knn_resilient).
 void process_bucket(simt::Warp& w, const FloatMatrix& points,
                     std::span<const std::uint32_t> ids, Strategy strategy,

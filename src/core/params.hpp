@@ -35,19 +35,6 @@ enum class Strategy {
   kShared,
 };
 
-/// How a refinement round generates and scores candidates.
-enum class RefineMode {
-  /// Each point scores its neighbors' neighbors against *itself* only
-  /// (contention-free: a warp writes its own point's set). Cheap rounds;
-  /// information propagates one hop per round.
-  kExpand,
-  /// Classic NN-Descent local join: each point brute-forces its combined
-  /// forward+reverse neighborhood as a bucket, so every candidate pair is
-  /// submitted to *both* endpoints. Fewer rounds needed, but the k-NN sets
-  /// see concurrent updates — the maintenance strategies earn their keep.
-  kLocalJoin,
-};
-
 /// Compressed storage tier for candidate-generation distances.
 enum class Compression {
   /// Full-precision fp32 rows everywhere (the pre-compression behavior,
@@ -60,8 +47,6 @@ enum class Compression {
   /// admission to the final top-k.
   kSq8,
 };
-
-const char* refine_mode_name(RefineMode m);
 
 const char* strategy_name(Strategy s);
 
@@ -76,10 +61,10 @@ Compression compression_from_name(const std::string& name);
 Strategy strategy_from_name(const std::string& name);
 
 /// The paper's conclusion as a policy: atomic for a smaller number of
-/// dimensions, tiled for higher-dimensional points. The threshold comes
-/// from the Fig. 1 crossover measured on this substrate (see
-/// EXPERIMENTS.md); callers with unusual workloads should sweep
-/// bench/fig1_dim_crossover themselves.
+/// dimensions (d <= 16), tiled for higher-dimensional points. The rule is
+/// the paper's claim 4, not a measurement: at bench scale tiled builds
+/// faster at every d (EXPERIMENTS.md, Fig. 1), and ROADMAP.md item 3 owns
+/// re-deriving the threshold from bench/fig1_dim_crossover.
 Strategy recommended_strategy(std::size_t dim);
 
 /// All knobs of the w-KNNG builder. Defaults give a reasonable
@@ -91,14 +76,11 @@ struct BuildParams {
   // Random-projection forest.
   std::size_t num_trees = 8;     ///< independent RP trees; more = higher recall
   std::size_t leaf_size = 64;    ///< max bucket size; brute-forced by one warp
-  float spill = 0.0f;            ///< spill-tree overlap fraction in [0, 0.45);
-                                 ///< boundary points enter both children
 
   // Neighbor-of-neighbor refinement.
   std::size_t refine_iters = 1;      ///< rounds after the forest pass (0 = off)
   std::size_t refine_sample = 512;   ///< max candidates examined per point/round
   std::size_t reverse_cap = 0;       ///< reverse edges kept per point (0 = k)
-  RefineMode refine_mode = RefineMode::kExpand;
 
   std::uint64_t seed = 1234;     ///< drives tree directions and sampling
 

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "core/leaf_knn.hpp"
 #include "simt/cost.hpp"
 #include "simt/fault.hpp"
 #include "simt/launch.hpp"
@@ -316,8 +315,9 @@ std::size_t refine_round(ThreadPool& pool, const FloatMatrix& points,
     }
   };
 
-  // Scratch needs room for the candidate gather plus the tiled kernel's
-  // merge buffer. A gather holds at most (max fwd+rev degree) * k ids.
+  // The expand gather keeps at most min(gather_ids, n) unique ids plus as
+  // many for the radix sort's ping-pong half, plus the staged query. A
+  // gather reaches at most (max fwd+rev degree) * k ids.
   std::size_t max_rev = 0;
   for (std::size_t p = 0; p < n; ++p) {
     max_rev = std::max<std::size_t>(
@@ -326,43 +326,11 @@ std::size_t refine_round(ThreadPool& pool, const FloatMatrix& points,
   const std::size_t gather_ids = (adj.k + max_rev) * adj.k;
   simt::LaunchConfig config;
   config.scratch_bytes = std::max(
-      params.scratch_bytes, gather_ids * sizeof(std::uint32_t) + 4096);
-  config.grain = 16;
-  config.schedule = params.schedule;
-
-  if (params.refine_mode == RefineMode::kLocalJoin) {
-    // Local join: each warp brute-forces its point's combined neighborhood
-    // as a bucket. Joined ids include p itself so the pairs (p, q) are also
-    // refreshed.
-    config.trace_label = "refine_local_join";
-    simt::launch_warps(pool, n, config, acc, [&](Warp& w) {
-      guarded([&] {
-        const auto p = static_cast<std::uint32_t>(w.id());
-        const auto fwd = adj.forward(p);
-        const auto rev = adj.reverse(p);
-        auto join = w.scratch().alloc<std::uint32_t>(fwd.size() + rev.size() + 1);
-        std::size_t count = 0;
-        join[count++] = p;
-        for (std::uint32_t e : fwd) join[count++] = Adjacency::id(e);
-        for (std::uint32_t e : rev) join[count++] = Adjacency::id(e);
-        std::span<std::uint32_t> ids(join.data(), count);
-        simt::sort_scratch(w, ids);
-        auto end = std::unique(ids.begin(), ids.end());
-        const std::size_t unique_count =
-            std::min<std::size_t>(end - ids.begin(), params.refine_sample);
-        process_bucket(w, points, ids.subspan(0, unique_count), params.strategy,
-                       sets, scorer);
-      });
-    });
-    return skipped.load(std::memory_order_relaxed);
-  }
-
-  // The expand gather keeps at most min(gather_ids, n) unique ids plus as
-  // many for the radix sort's ping-pong half, plus the staged query.
-  config.scratch_bytes = std::max(
       params.scratch_bytes,
       2 * std::min(gather_ids, n) * sizeof(std::uint32_t) +
           scorer.staging_floats() * sizeof(float) + 4096);
+  config.grain = 16;
+  config.schedule = params.schedule;
   config.trace_label = "refine_expand";
   simt::launch_warps(pool, n, config, acc, [&](Warp& w) {
     const auto p = static_cast<std::uint32_t>(w.id());

@@ -120,9 +120,9 @@ struct Candidates {
 Candidates gather_candidates(simt::Warp& w, const Adjacency& adj,
                              std::uint32_t p, std::size_t sample_cap);
 
-/// One neighbor-of-neighbor refinement round (NN-Descent-style local join):
-/// one warp per point p gathers the neighbors of p's forward+reverse
-/// neighbors (gather_candidates), then scores at most `params.refine_sample`
+/// One neighbor-of-neighbor refinement round (expand): one warp per point p
+/// gathers the neighbors of p's forward+reverse neighbors
+/// (gather_candidates), then scores at most `params.refine_sample`
 /// candidates with the strategy's kernel shape and submits them to p's k-NN
 /// set.
 ///

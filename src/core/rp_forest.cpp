@@ -14,15 +14,6 @@
 
 namespace wknng::core {
 
-void Buckets::append(const Buckets& other) {
-  const std::uint32_t base = offsets.back();
-  ids.insert(ids.end(), other.ids.begin(), other.ids.end());
-  offsets.reserve(offsets.size() + other.num_buckets());
-  for (std::size_t b = 1; b < other.offsets.size(); ++b) {
-    offsets.push_back(base + other.offsets[b]);
-  }
-}
-
 namespace {
 
 /// A node's half-open range [begin, end) of a tree's permutation.
@@ -302,37 +293,6 @@ Buckets build_trees(ThreadPool& pool, const FloatMatrix& points,
   return out;
 }
 
-/// Computes projections of `ids` onto `dir` with one SIMT launch (warp per
-/// 32-id chunk, candidate-parallel dot products). Used by the spill-tree
-/// build, which cannot use the in-place permutation representation.
-std::vector<float> project_ids(ThreadPool& pool, const FloatMatrix& points,
-                               std::span<const std::uint32_t> ids,
-                               std::span<const float> dir,
-                               simt::StatsAccumulator* acc) {
-  const std::size_t dim = points.cols();
-  std::vector<float> proj(ids.size());
-  const std::size_t num_chunks =
-      (ids.size() + simt::kWarpSize - 1) / simt::kWarpSize;
-  simt::LaunchConfig config;
-  config.trace_label = "rp_forest_project";
-  simt::launch_warps(pool, num_chunks, config, acc, [&](simt::Warp& w) {
-    const std::size_t begin = static_cast<std::size_t>(w.id()) * simt::kWarpSize;
-    const std::size_t cnt =
-        std::min<std::size_t>(simt::kWarpSize, ids.size() - begin);
-    w.count_read(dim * sizeof(float));  // direction staged once per warp
-    for (std::size_t l = 0; l < cnt; ++l) {
-      auto x = points.row(ids[begin + l]);
-      float acc_dot = 0.0f;
-      for (std::size_t j = 0; j < dim; ++j) acc_dot += x[j] * dir[j];
-      proj[begin + l] = acc_dot;
-    }
-    w.stats().flops += 2 * dim * cnt;
-    w.count_read(cnt * dim * sizeof(float));
-    w.count_write(cnt * sizeof(float));
-  });
-  return proj;
-}
-
 }  // namespace
 
 Buckets build_rp_tree(ThreadPool& pool, const FloatMatrix& points,
@@ -341,97 +301,11 @@ Buckets build_rp_tree(ThreadPool& pool, const FloatMatrix& points,
   return build_trees(pool, points, leaf_size, seed, tree_index, 1, acc);
 }
 
-Buckets build_rp_tree_spill(ThreadPool& pool, const FloatMatrix& points,
-                            std::size_t leaf_size, float spill,
-                            std::uint64_t seed, std::size_t tree_index,
-                            simt::StatsAccumulator* acc) {
-  WKNNG_CHECK_MSG(spill >= 0.0f && spill < 0.45f,
-                  "spill must be in [0, 0.45): " << spill);
-  if (spill == 0.0f) {
-    return build_rp_tree(pool, points, leaf_size, seed, tree_index, acc);
-  }
-  WKNNG_CHECK_MSG(leaf_size >= 2, "leaf_size must be >= 2");
-  const std::size_t n = points.rows();
-  const std::size_t dim = points.cols();
-
-  Buckets out;
-  // Nodes own explicit id vectors — children overlap, so the permutation
-  // trick of the non-spill build does not apply.
-  struct Node {
-    std::vector<std::uint32_t> ids;
-    std::size_t depth;
-  };
-  std::vector<Node> stack;
-  {
-    std::vector<std::uint32_t> all(n);
-    std::iota(all.begin(), all.end(), 0u);
-    stack.push_back({std::move(all), 0});
-  }
-
-  std::size_t node_counter = 0;
-  while (!stack.empty()) {
-    Node node = std::move(stack.back());
-    stack.pop_back();
-    if (node.ids.size() <= leaf_size) {
-      out.ids.insert(out.ids.end(), node.ids.begin(), node.ids.end());
-      out.offsets.push_back(static_cast<std::uint32_t>(out.ids.size()));
-      continue;
-    }
-
-    // Direction seeded by (tree, running node index) — deterministic for a
-    // fixed traversal order.
-    Rng rng(seed, (tree_index << 40) ^ 0x5B1LL ^ node_counter++);
-    std::vector<float> dir(dim);
-    for (auto& v : dir) v = rng.next_gaussian();
-
-    const std::vector<float> proj = project_ids(pool, points, node.ids, dir, acc);
-
-    // Order ids by projection; children take overlapping halves.
-    std::vector<std::uint32_t> order(node.ids.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-      if (proj[a] != proj[b]) return proj[a] < proj[b];
-      return node.ids[a] < node.ids[b];  // deterministic tiebreak
-    });
-
-    const std::size_t m = node.ids.size();
-    const std::size_t mid = m / 2;
-    const auto spill_count = static_cast<std::size_t>(spill * static_cast<float>(m));
-
-    Node left{{}, node.depth + 1}, right{{}, node.depth + 1};
-    left.ids.reserve(mid + spill_count);
-    right.ids.reserve(m - mid + spill_count);
-    for (std::size_t i = 0; i < std::min(m, mid + spill_count); ++i) {
-      left.ids.push_back(node.ids[order[i]]);
-    }
-    for (std::size_t i = mid >= spill_count ? mid - spill_count : 0; i < m; ++i) {
-      right.ids.push_back(node.ids[order[i]]);
-    }
-    stack.push_back(std::move(left));
-    stack.push_back(std::move(right));
-  }
-  return out;
-}
-
 Buckets build_rp_forest(ThreadPool& pool, const FloatMatrix& points,
                         std::size_t num_trees, std::size_t leaf_size,
-                        std::uint64_t seed, simt::StatsAccumulator* acc,
-                        float spill) {
+                        std::uint64_t seed, simt::StatsAccumulator* acc) {
   WKNNG_CHECK(num_trees > 0);
-  if (spill == 0.0f) {
-    return build_trees(pool, points, leaf_size, seed, 0, num_trees, acc);
-  }
-  Buckets forest;
-  for (std::size_t t = 0; t < num_trees; ++t) {
-    Buckets tree =
-        build_rp_tree_spill(pool, points, leaf_size, spill, seed, t, acc);
-    if (t == 0) {
-      forest = std::move(tree);
-    } else {
-      forest.append(tree);
-    }
-  }
-  return forest;
+  return build_trees(pool, points, leaf_size, seed, 0, num_trees, acc);
 }
 
 }  // namespace wknng::core

@@ -31,9 +31,6 @@ struct Buckets {
     }
     return m;
   }
-
-  /// Appends all buckets of `other` (concatenates spill trees into a forest).
-  void append(const Buckets& other);
 };
 
 /// Builds tree `tree_index` of the forest over `points` and returns its
@@ -43,18 +40,6 @@ Buckets build_rp_tree(ThreadPool& pool, const FloatMatrix& points,
                       std::size_t leaf_size, std::uint64_t seed,
                       std::size_t tree_index,
                       simt::StatsAccumulator* acc = nullptr);
-
-/// Spill-tree variant: at every split, the `spill` fraction of the node's
-/// points nearest the median plane (on each side) is copied into *both*
-/// children, so near-boundary neighbor pairs are not separated. Leaves
-/// overlap — a point appears in up to (1 + 2*spill)^depth leaves — trading
-/// memory and brute-force work for recall per tree (Liu et al., "An
-/// investigation of practical approximate nearest neighbor algorithms",
-/// NIPS 2004). `spill` must be in [0, 0.45); 0 reduces to build_rp_tree.
-Buckets build_rp_tree_spill(ThreadPool& pool, const FloatMatrix& points,
-                            std::size_t leaf_size, float spill,
-                            std::uint64_t seed, std::size_t tree_index,
-                            simt::StatsAccumulator* acc = nullptr);
 
 /// Builds `num_trees` independent trees and concatenates their leaves, tree
 /// by tree; within a tree, leaves are in level-major order.
@@ -74,11 +59,9 @@ Buckets build_rp_tree_spill(ThreadPool& pool, const FloatMatrix& points,
 /// Determinism: directions depend only on (seed, tree_index, level, node),
 /// and each projection is the same ascending-j float sum however chains are
 /// interleaved, so the same inputs give the same forest at any thread count.
-/// `spill > 0` selects the spill-tree variant, built one tree at a time.
 Buckets build_rp_forest(ThreadPool& pool, const FloatMatrix& points,
                         std::size_t num_trees, std::size_t leaf_size,
                         std::uint64_t seed,
-                        simt::StatsAccumulator* acc = nullptr,
-                        float spill = 0.0f);
+                        simt::StatsAccumulator* acc = nullptr);
 
 }  // namespace wknng::core

@@ -137,5 +137,14 @@ TEST(Builder, StrategyNamesRoundTrip) {
   EXPECT_THROW(strategy_from_name("bogus"), Error);
 }
 
+// Saved checkpoints and dynamic-index WAL anchors store this hash and are
+// refused when it differs, so any change to what it mixes orphans them.
+TEST(BuildSignature, MatchesPinnedValues) {
+  EXPECT_EQ(build_signature(BuildParams{}, 1000, 16), 0x2B21BF5D81E605C1ULL);
+  BuildParams sq8;
+  sq8.compression = Compression::kSq8;
+  EXPECT_EQ(build_signature(sq8, 1000, 16), 0x12257B77B4AD8CDFULL);
+}
+
 }  // namespace
 }  // namespace wknng::core

@@ -474,77 +474,6 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, RefineTest,
                            return strategy_name(info.param);
                          });
 
-
-class LocalJoinTest : public ::testing::TestWithParam<Strategy> {};
-
-TEST_P(LocalJoinTest, ImprovesRecallLikeExpand) {
-  ThreadPool pool(2);
-  const FloatMatrix pts = data::make_clusters(400, 16, 8, 0.15f, 29);
-  const std::size_t k = 8;
-  const KnnGraph truth = exact::brute_force_knng(pool, pts, k);
-
-  BuildParams params;
-  params.k = k;
-  params.strategy = GetParam();
-  params.refine_mode = RefineMode::kLocalJoin;
-
-  KnnSetArray sets = seeded_sets(pool, pts, k, params.strategy);
-  const double before = exact::recall(sets.extract(pool), truth);
-  Adjacency adj = snapshot_adjacency(pool, sets, 0);
-  refine_round(pool, pts, adj, params, sets, nullptr, simt::RowScorer(pts));
-  const double after = exact::recall(sets.extract(pool), truth);
-  EXPECT_GT(after, before);
-  EXPECT_TRUE(sets.extract(pool).check_invariants());
-}
-
-TEST_P(LocalJoinTest, SubmitsJoinedPairsToBothEndpoints) {
-  // Deterministic micro-scenario: p knows u and v, but u and v do not know
-  // each other. A local-join round at p must evaluate (u, v) and — with
-  // spare k capacity on both sides — insert the edge in both directions.
-  // (The expand mode cannot do this: it only updates p's own set.)
-  ThreadPool pool(1);
-  FloatMatrix pts(3, 2);
-  // p = (0,0), u = (1,0), v = (0,1)
-  pts(1, 0) = 1.0f;
-  pts(2, 1) = 1.0f;
-  const std::uint32_t p = 0, u = 1, v = 2;
-
-  KnnSetArray sets(3, 3);
-  {
-    simt::WarpScratch scratch;
-    simt::Stats stats;
-    simt::Warp w(0, scratch, stats);
-    sets.insert(w, GetParam(), p, simt::Packed::make(1.0f, u));
-    sets.insert(w, GetParam(), p, simt::Packed::make(1.0f, v));
-    sets.insert(w, GetParam(), u, simt::Packed::make(1.0f, p));
-    sets.insert(w, GetParam(), v, simt::Packed::make(1.0f, p));
-  }
-
-  BuildParams params;
-  params.k = 3;
-  params.strategy = GetParam();
-  params.refine_mode = RefineMode::kLocalJoin;
-  Adjacency adj = snapshot_adjacency(pool, sets, 0);
-  refine_round(pool, pts, adj, params, sets, nullptr, simt::RowScorer(pts));
-
-  const KnnGraph g = sets.extract(pool);
-  auto contains = [&](std::uint32_t from, std::uint32_t to) {
-    for (const Neighbor& nb : g.row(from)) {
-      if (nb.id == to) return true;
-    }
-    return false;
-  };
-  EXPECT_TRUE(contains(u, v));
-  EXPECT_TRUE(contains(v, u));
-}
-
-INSTANTIATE_TEST_SUITE_P(AllStrategies, LocalJoinTest,
-                         ::testing::Values(Strategy::kBasic, Strategy::kAtomic,
-                                           Strategy::kTiled),
-                         [](const auto& info) {
-                           return strategy_name(info.param);
-                         });
-
 // --- Candidate gather: differential against the sort-unique reference ----
 
 /// A random adjacency over n points whose ids are drawn from `pool_size`
@@ -826,11 +755,6 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(c.iters) + "_sample" + std::to_string(c.sample) +
              "_threads" + std::to_string(c.threads);
     });
-
-TEST(RefineModeNames, AreStable) {
-  EXPECT_STREQ(refine_mode_name(RefineMode::kExpand), "expand");
-  EXPECT_STREQ(refine_mode_name(RefineMode::kLocalJoin), "local-join");
-}
 
 }  // namespace
 }  // namespace wknng::core

@@ -6,12 +6,8 @@
 #include <numeric>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/rng.hpp"
-#include "core/builder.hpp"
 #include "data/synthetic.hpp"
-#include "exact/brute_force.hpp"
-#include "exact/recall.hpp"
 
 namespace wknng::core {
 namespace {
@@ -326,92 +322,6 @@ TEST(RpForest, StatsAreAccumulated) {
   EXPECT_GT(s.flops, 0u);
   EXPECT_GT(s.global_reads, 0u);
   EXPECT_GT(s.warps_executed, 0u);
-}
-
-TEST(Buckets, AppendPreservesBucketBoundaries) {
-  Buckets a;
-  a.ids = {0, 1, 2};
-  a.offsets = {0, 2, 3};
-  Buckets b;
-  b.ids = {3, 4};
-  b.offsets = {0, 2};
-  a.append(b);
-  ASSERT_EQ(a.num_buckets(), 3u);
-  EXPECT_EQ(a.bucket(0).size(), 2u);
-  EXPECT_EQ(a.bucket(1).size(), 1u);
-  EXPECT_EQ(a.bucket(2).size(), 2u);
-  EXPECT_EQ(a.bucket(2)[0], 3u);
-}
-
-
-TEST(SpillTree, ZeroSpillMatchesPlainTree) {
-  ThreadPool pool(2);
-  const FloatMatrix pts = data::make_uniform(300, 8, 2);
-  const Buckets plain = build_rp_tree(pool, pts, 32, 42, 0);
-  const Buckets spill = build_rp_tree_spill(pool, pts, 32, 0.0f, 42, 0);
-  EXPECT_EQ(plain.ids, spill.ids);
-  EXPECT_EQ(plain.offsets, spill.offsets);
-}
-
-TEST(SpillTree, EveryPointCoveredAtLeastOnce) {
-  ThreadPool pool(2);
-  const FloatMatrix pts = data::make_clusters(400, 10, 8, 0.1f, 5);
-  const Buckets b = build_rp_tree_spill(pool, pts, 32, 0.15f, 7, 0);
-  std::vector<int> seen(400, 0);
-  for (std::uint32_t id : b.ids) {
-    ASSERT_LT(id, 400u);
-    ++seen[id];
-  }
-  std::size_t duplicated = 0;
-  for (int c : seen) {
-    EXPECT_GE(c, 1);
-    duplicated += c > 1 ? 1 : 0;
-  }
-  EXPECT_GT(duplicated, 0u);  // spill must actually duplicate someone
-}
-
-TEST(SpillTree, RespectsLeafSize) {
-  ThreadPool pool(2);
-  const FloatMatrix pts = data::make_uniform(500, 6, 9);
-  const Buckets b = build_rp_tree_spill(pool, pts, 48, 0.2f, 11, 0);
-  EXPECT_LE(b.max_bucket_size(), 48u);
-}
-
-TEST(SpillTree, Deterministic) {
-  ThreadPool pool(2);
-  const FloatMatrix pts = data::make_uniform(250, 8, 13);
-  const Buckets a = build_rp_tree_spill(pool, pts, 24, 0.1f, 3, 1);
-  const Buckets c = build_rp_tree_spill(pool, pts, 24, 0.1f, 3, 1);
-  EXPECT_EQ(a.ids, c.ids);
-  EXPECT_EQ(a.offsets, c.offsets);
-}
-
-TEST(SpillTree, RejectsExcessiveSpill) {
-  ThreadPool pool(1);
-  const FloatMatrix pts = data::make_uniform(50, 4, 1);
-  EXPECT_THROW(build_rp_tree_spill(pool, pts, 16, 0.5f, 1, 0), Error);
-  EXPECT_THROW(build_rp_tree_spill(pool, pts, 16, -0.1f, 1, 0), Error);
-}
-
-TEST(SpillTree, ImprovesSingleTreeRecall) {
-  // One tree with spill must beat one tree without (same everything else):
-  // boundary-separated neighbor pairs are recovered.
-  ThreadPool pool(2);
-  const FloatMatrix pts = data::make_uniform(600, 12, 17);
-  const std::size_t k = 8;
-  const KnnGraph truth = exact::brute_force_knng(pool, pts, k);
-
-  auto recall_with_spill = [&](float spill) {
-    BuildParams params;
-    params.k = k;
-    params.num_trees = 1;
-    params.refine_iters = 0;
-    params.spill = spill;
-    return exact::recall(build_knng(pool, pts, params).graph, truth);
-  };
-  const double plain = recall_with_spill(0.0f);
-  const double spilled = recall_with_spill(0.25f);
-  EXPECT_GT(spilled, plain);
 }
 
 }  // namespace

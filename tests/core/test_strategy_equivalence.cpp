@@ -1,7 +1,7 @@
 // Strategy-equivalence harness under the schedule fuzzer: the tiled (and
 // lock-based) strategies must produce bit-identical graphs whichever warp
-// interleaving executes them, with and without spill trees, and a refinement
-// round must be equally order-independent. Every checked build also runs
+// interleaving executes them, and a refinement round must be equally
+// order-independent. Every checked build also runs
 // under the race detector and must come out clean.
 
 #include <gtest/gtest.h>
@@ -101,30 +101,12 @@ INSTANTIATE_TEST_SUITE_P(Strategies, EquivalenceTest,
                            return param_name(strategy_name(info.param));
                          });
 
-TEST(EquivalenceSpillTest, SpillTreesBitIdenticalAcrossSchedules) {
-  ThreadPool pool(2);
-  const FloatMatrix pts = data::make_clusters(300, 16, 5, 0.2f, 31);
-  BuildParams params = base_params(Strategy::kTiled);
-  params.spill = 0.2f;
-
-  params.schedule = {SchedulePolicy::kSequential, 0};
-  const BuildResult reference = build_knng(pool, pts, params);
-  for (const ScheduleSpec& spec : sweep()) {
-    params.schedule = spec;
-    const BuildResult r = build_knng(pool, pts, params);
-    EXPECT_EQ(r.races_detected, 0u);
-    EXPECT_TRUE(graphs_identical(reference.graph, r.graph))
-        << "schedule " << simt::schedule_policy_name(spec.policy) << "/"
-        << spec.seed;
-  }
-}
-
 // Satellite: grain sweep — the scheduling granularity must not change the
 // result either (it regroups warp blocks, another interleaving dimension).
 TEST(EquivalenceGrainTest, GrainSweepBitIdentical) {
   ThreadPool pool(2);
   const FloatMatrix pts = data::make_clusters(250, 12, 5, 0.2f, 13);
-  const Buckets forest = build_rp_forest(pool, pts, 3, 32, 99, nullptr, 0.0f);
+  const Buckets forest = build_rp_forest(pool, pts, 3, 32, 99);
 
   auto leaf_graph = [&](std::size_t grain, const ScheduleSpec& spec) {
     KnnSetArray sets(pts.rows(), 6);
@@ -153,16 +135,13 @@ TEST(EquivalenceGrainTest, GrainSweepBitIdentical) {
   }
 }
 
-// Satellite: refine-round schedule invariance, both refinement modes.
-class RefineInvarianceTest : public ::testing::TestWithParam<RefineMode> {};
-
-TEST_P(RefineInvarianceTest, RoundIsScheduleInvariant) {
+// Satellite: refine-round schedule invariance.
+TEST(RefineInvariance, RoundIsScheduleInvariant) {
   ThreadPool pool(2);
   const FloatMatrix pts = data::make_clusters(280, 16, 6, 0.2f, 55);
   BuildParams params = base_params(Strategy::kTiled);
   params.check_races = false;
   params.refine_iters = 0;
-  params.refine_mode = GetParam();
   params.schedule = {SchedulePolicy::kSequential, 0};
 
   auto refined_graph = [&](const ScheduleSpec& spec) {
@@ -170,8 +149,7 @@ TEST_P(RefineInvarianceTest, RoundIsScheduleInvariant) {
     // refine rounds under the candidate schedule; the second skips the
     // pairs the first scored.
     const Buckets forest = build_rp_forest(pool, pts, params.num_trees,
-                                           params.leaf_size, params.seed,
-                                           nullptr, 0.0f);
+                                           params.leaf_size, params.seed);
     KnnSetArray sets(pts.rows(), params.k);
     LeafReport report;
     leaf_knn_resilient(pool, pts, forest, params.strategy, sets, nullptr,
@@ -192,16 +170,9 @@ TEST_P(RefineInvarianceTest, RoundIsScheduleInvariant) {
   for (const ScheduleSpec& spec : sweep()) {
     EXPECT_TRUE(graphs_identical(reference, refined_graph(spec)))
         << "schedule " << simt::schedule_policy_name(spec.policy) << "/"
-        << spec.seed << " mode " << refine_mode_name(GetParam());
+        << spec.seed;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Modes, RefineInvarianceTest,
-                         ::testing::Values(RefineMode::kExpand,
-                                           RefineMode::kLocalJoin),
-                         [](const auto& info) {
-                           return param_name(refine_mode_name(info.param));
-                         });
 
 }  // namespace
 }  // namespace wknng::core

@@ -250,8 +250,6 @@ TEST(Builder, ValidationRejectsBadParamsWithTypedErrors) {
   expect_rejected([](BuildParams& p) { p.num_trees = 0; });
   expect_rejected([](BuildParams& p) { p.leaf_size = 0; });
   expect_rejected([](BuildParams& p) { p.leaf_size = 1; });
-  expect_rejected([](BuildParams& p) { p.spill = 0.45f; });
-  expect_rejected([](BuildParams& p) { p.spill = -0.1f; });
   expect_rejected([](BuildParams& p) {
     p.refine_iters = 1;
     p.refine_sample = 0;

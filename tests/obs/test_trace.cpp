@@ -168,10 +168,9 @@ TEST(BuildTrace, PhaseSpansCoverTheBuild) {
   const auto launches = events_named(tr, "leaf_knn");
   ASSERT_GE(launches.size(), 1u);
   EXPECT_EQ(launches[0].tid, kTrackLaunch);
-  // Exactly one of the two refine kernels runs, depending on refine_mode.
-  EXPECT_GE(events_named(tr, "refine_local_join").size() +
-                events_named(tr, "refine_expand").size(),
-            1u);
+  // One refine_expand launch per refinement round.
+  EXPECT_EQ(events_named(tr, "refine_expand").size(),
+            small_params().refine_iters);
   // One forest launch per level covers every tree.
   EXPECT_EQ(events_named(tr, "rp_forest_level").size(),
             forest_depth(500, small_params().leaf_size));
